@@ -26,7 +26,7 @@
 
 #include "channel/geometry.h"
 #include "core/reception.h"
-#include "net/trace.h"
+#include "net/node_set.h"
 
 namespace thinair::core {
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "gf/encode.h"
-#include "gf/kernels.h"
 
 namespace thinair::core {
 
@@ -18,30 +17,10 @@ Phase1Result run_phase1(const ReceptionTable& table,
 std::vector<packet::ConstByteSpan> all_y_contents(
     const YPool& pool, std::span<const packet::ConstByteSpan> x_payloads,
     std::size_t payload_size, packet::PayloadArena& arena) {
-  if (payload_size == 0)
-    throw std::invalid_argument("all_y_contents: payload_size == 0");
-  if (x_payloads.size() != pool.universe())
-    throw std::invalid_argument("all_y_contents: payload count != universe");
   // Fused path: the dense pool matrix and every output live in the arena;
   // each x-payload is streamed once per block of gf::kMaxFusedRows y-rows
-  // instead of once per row.
-  const gf::Matrix m = pool.rows(arena);
-  return gf::encode(m, x_payloads, payload_size, arena);
-}
-
-std::vector<packet::Payload> all_y_contents(
-    const YPool& pool, std::span<const packet::Payload> x_payloads,
-    std::size_t payload_size) {
-  if (x_payloads.size() != pool.universe())
-    throw std::invalid_argument("all_y_contents: payload count != universe");
-  std::vector<packet::Payload> out(pool.size());
-  for (packet::Payload& p : out) p.assign(payload_size, 0);
-  if (payload_size == 0) return out;
-  const std::vector<packet::ConstByteSpan> ins(x_payloads.begin(),
-                                               x_payloads.end());
-  std::vector<packet::ByteSpan> outs(out.begin(), out.end());
-  gf::encode(pool.rows(), ins, outs, payload_size);
-  return out;
+  // instead of once per row. gf::encode validates sizes and counts.
+  return gf::encode(pool.rows(arena), x_payloads, payload_size, arena);
 }
 
 std::vector<packet::ConstByteSpan> reconstruct_y(
@@ -56,52 +35,8 @@ std::vector<packet::ConstByteSpan> reconstruct_y(
   std::vector<packet::ConstByteSpan> out(pool.size());
   for (std::size_t j = 0; j < pool.size(); ++j) {
     const YPool::Entry& e = pool.entries()[j];
-    if (!e.audience.contains(terminal)) continue;
-    const packet::ByteSpan y = arena.alloc(payload_size);
-    // Fused gather: the y-row is the shared output, blocks of
-    // gf::kMaxFusedRows x-payloads the inputs.
-    gf::DotBatch batch(y.data(), payload_size);
-    for (const packet::Term& t : e.combo.terms()) {
-      const packet::ConstByteSpan x = x_payloads[t.index];
-      if (x.empty())
-        throw std::logic_error(
-            "reconstruct_y: terminal in audience but missing an x-packet "
-            "(inconsistent reception report)");
-      if (x.size() != payload_size)
-        throw std::invalid_argument("reconstruct_y: payload size mismatch");
-      batch.add(t.coeff.value(), x.data());
-    }
-    batch.flush();
-    out[j] = y;
-  }
-  return out;
-}
-
-std::vector<std::optional<packet::Payload>> reconstruct_y(
-    const YPool& pool, packet::NodeId terminal,
-    std::span<const std::optional<packet::Payload>> x_payloads,
-    std::size_t payload_size) {
-  if (x_payloads.size() != pool.universe())
-    throw std::invalid_argument("reconstruct_y: payload count != universe");
-
-  std::vector<std::optional<packet::Payload>> out(pool.size());
-  for (std::size_t j = 0; j < pool.size(); ++j) {
-    const YPool::Entry& e = pool.entries()[j];
-    if (!e.audience.contains(terminal)) continue;
-    packet::Payload y(payload_size, 0);
-    gf::DotBatch batch(y.data(), payload_size);
-    for (const packet::Term& t : e.combo.terms()) {
-      const auto& x = x_payloads[t.index];
-      if (!x.has_value())
-        throw std::logic_error(
-            "reconstruct_y: terminal in audience but missing an x-packet "
-            "(inconsistent reception report)");
-      if (x->size() != payload_size)
-        throw std::invalid_argument("reconstruct_y: payload size mismatch");
-      batch.add(t.coeff.value(), x->data());
-    }
-    batch.flush();
-    out[j] = std::move(y);
+    if (e.audience.contains(terminal))
+      out[j] = e.combo.apply(x_payloads, payload_size, arena);
   }
   return out;
 }

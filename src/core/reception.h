@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/trace.h"
+#include "net/node_set.h"
 #include "packet/types.h"
 
 namespace thinair::core {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/eve_view.h"
 #include "net/reliable.h"
@@ -42,19 +43,18 @@ double SessionResult::secret_rate_bps() const {
              : static_cast<double>(secret_bits()) / duration_s;
 }
 
-GroupSecretSession::GroupSecretSession(net::Medium& medium,
-                                       SessionConfig config)
+SimSession::SimSession(net::Medium& medium, SessionConfig config)
     : medium_(&medium) {
   reset(medium, std::move(config));
 }
 
-void GroupSecretSession::reset(net::Medium& medium, SessionConfig config) {
+void SimSession::reset(net::Medium& medium, SessionConfig config) {
   if (medium.terminals().size() < 2)
-    throw std::invalid_argument("GroupSecretSession: need >= 2 terminals");
+    throw std::invalid_argument("session: need >= 2 terminals");
   if (config.x_packets_per_round == 0)
-    throw std::invalid_argument("GroupSecretSession: N == 0");
+    throw std::invalid_argument("session: N == 0");
   if (config.payload_bytes == 0)
-    throw std::invalid_argument("GroupSecretSession: empty payloads");
+    throw std::invalid_argument("session: empty payloads");
   medium_ = &medium;
   config_ = std::move(config);
   next_round_ = 0;
@@ -64,7 +64,7 @@ void GroupSecretSession::reset(net::Medium& medium, SessionConfig config) {
   owned_arena_.trim_to_watermark();
 }
 
-SessionResult GroupSecretSession::run() {
+SessionResult SimSession::run() {
   const auto terminals = medium_->terminals();
   const std::size_t rounds =
       config_.rounds == 0 ? terminals.size() : config_.rounds;
@@ -85,95 +85,96 @@ SessionResult GroupSecretSession::run() {
   return result;
 }
 
-RoundOutcome GroupSecretSession::run_round(packet::NodeId alice,
-                                           packet::RoundId round,
-                                           SessionResult& result) {
-  const std::size_t n = config_.x_packets_per_round;
-  const std::size_t payload = config_.payload_bytes;
-
+SimSession::Opened SimSession::open(packet::NodeId alice,
+                                    packet::RoundId round,
+                                    decltype(&alice_round) step) {
   // All round payloads live in the arena; everything a later round needs
   // is copied out (the secret bytes, the outcome counters), so the round
   // boundary is the natural reclamation point.
   packet::PayloadArena& arena = this->arena();
   arena.reset();
-
-  // Phase 1, steps 1-2.
-  const RoundContext ctx =
-      open_round(*medium_, alice, round, n, payload, arena);
-
-  // Phase 1, steps 3-4: the y-pool and its public identities.
+  RoundContext ctx =
+      open_round(*medium_, alice, round, config_.x_packets_per_round,
+                 config_.payload_bytes, arena);
   receiver_cells_.clear();
   if (!config_.estimator.occupied_cells.empty())
     for (packet::NodeId r : ctx.receivers)
       receiver_cells_.push_back(config_.estimator.occupied_cells.at(r.value));
-  const auto estimator =
-      build_estimator(config_.estimator, ctx.table, ctx.eve_indices,
-                      ctx.slot_of, receiver_cells_);
-  const Phase1Result phase1 =
-      run_phase1(ctx.table, *estimator, config_.pool_strategy);
-  const YPool& pool = phase1.build.pool;
+  // The estimator reads ctx.table, so it must not outlive this scope.
+  AliceRound a =
+      step(ctx.table,
+           *build_estimator(config_.estimator, ctx.table, ctx.eve_indices,
+                            ctx.slot_of, receiver_cells_),
+           config_.pool_strategy, ctx.x_payloads, config_.payload_bytes,
+           arena);
+  return {std::move(ctx), std::move(a)};
+}
 
-  // Broadcasts reuse one scratch packet: its payload buffer keeps its
-  // capacity across rounds and pooled lifetimes.
-  scratch_pkt_.kind = packet::Kind::kAnnouncement;
+void SimSession::broadcast(packet::NodeId alice, packet::RoundId round,
+                           packet::Kind kind, std::uint32_t seq,
+                           net::TrafficClass cls) {
+  scratch_pkt_.kind = kind;
   scratch_pkt_.source = alice;
   scratch_pkt_.round = round;
-  scratch_pkt_.seq = packet::PacketSeq{0};
-  packet::encode_into(phase1.announcement, scratch_pkt_.payload);
-  net::reliable_broadcast(*medium_, alice, scratch_pkt_,
-                          net::TrafficClass::kControl);
+  scratch_pkt_.seq = packet::PacketSeq{seq};
+  net::reliable_broadcast(*medium_, alice, scratch_pkt_, cls);
+}
 
-  // Phase 2: z-packets (contents) and s-packet identities.
-  const Phase2Plan plan = plan_phase2(pool);
-  const std::vector<packet::ConstByteSpan> y_contents =
-      all_y_contents(pool, ctx.x_payloads, payload, arena);
-  const std::vector<packet::ConstByteSpan> z_payloads =
-      make_z_payloads(plan, y_contents, payload, arena);
+RoundOutcome SimSession::outcome_of(const RoundContext& ctx,
+                                    const YPool& pool) const {
+  RoundOutcome outcome;
+  outcome.alice = ctx.alice;
+  outcome.universe = config_.x_packets_per_round;
+  for (packet::NodeId r : ctx.receivers)
+    outcome.pairwise_size.push_back(pool.count_for(r));
+  outcome.pool_size = pool.size();
+  return outcome;
+}
 
-  scratch_pkt_.kind = packet::Kind::kCoded;
-  for (std::size_t zi = 0; zi < z_payloads.size(); ++zi) {
-    scratch_pkt_.seq = packet::PacketSeq{static_cast<std::uint32_t>(zi)};
-    scratch_pkt_.payload.assign(z_payloads[zi].begin(), z_payloads[zi].end());
-    net::reliable_broadcast(*medium_, alice, scratch_pkt_,
-                            net::TrafficClass::kCoded);
+RoundOutcome GroupSecretSession::run_round(packet::NodeId alice,
+                                           packet::RoundId round,
+                                           SessionResult& result) {
+  const std::size_t n = config_.x_packets_per_round;
+  const std::size_t payload = config_.payload_bytes;
+  packet::PayloadArena& arena = this->arena();
+
+  const auto [ctx, a] = open(alice, round, alice_round);
+  const YPool& pool = a.phase1.build.pool;
+  const Phase2Plan& plan = a.plan;
+
+  // Alice's broadcasts: the y identities, the z contents, the s
+  // identities.
+  packet::encode_into(a.phase1.announcement, scratch_pkt_.payload);
+  broadcast(alice, round, packet::Kind::kAnnouncement, 0,
+            net::TrafficClass::kControl);
+  for (std::size_t zi = 0; zi < a.z.size(); ++zi) {
+    scratch_pkt_.payload.assign(a.z[zi].begin(), a.z[zi].end());
+    broadcast(alice, round, packet::Kind::kCoded,
+              static_cast<std::uint32_t>(zi), net::TrafficClass::kCoded);
   }
   if (plan.group_size > 0) {
-    scratch_pkt_.kind = packet::Kind::kAnnouncement;
-    scratch_pkt_.seq = packet::PacketSeq{1};
     packet::encode_into(plan.s_announcement, scratch_pkt_.payload);
-    net::reliable_broadcast(*medium_, alice, scratch_pkt_,
-                            net::TrafficClass::kControl);
+    broadcast(alice, round, packet::Kind::kAnnouncement, 1,
+              net::TrafficClass::kControl);
   }
 
-  const std::vector<packet::ConstByteSpan> s_payloads =
-      plan.group_size > 0
-          ? make_s_payloads(plan, y_contents, payload, arena)
-          : std::vector<packet::ConstByteSpan>{};
-
-  // Every receiver decodes the secret for real and must agree with Alice.
-  // Per-receiver scratch is rewound after each check so the round's peak
-  // footprint stays one receiver deep.
-  if (plan.group_size > 0) {
-    const auto spans_equal = [](std::span<const packet::ConstByteSpan> a,
-                                std::span<const packet::ConstByteSpan> b) {
-      if (a.size() != b.size()) return false;
-      for (std::size_t i = 0; i < a.size(); ++i)
-        if (!std::equal(a[i].begin(), a[i].end(), b[i].begin(), b[i].end()))
-          return false;
-      return true;
-    };
-    for (std::size_t ri = 0; ri < ctx.receivers.size(); ++ri) {
-      const packet::PayloadArena::Mark mark = arena.mark();
-      const auto own_y = reconstruct_y(pool, ctx.receivers[ri],
-                                       ctx.rx_payloads[ri], payload, arena);
-      const auto full_y =
-          recover_all_y(plan, own_y, z_payloads, payload, arena);
-      const auto own_s = make_s_payloads(plan, full_y, payload, arena);
-      if (!spans_equal(own_s, s_payloads))
+  // Every receiver runs the live client's step on what it heard and must
+  // agree with Alice. Its scratch is rewound after each check so the
+  // round's peak footprint stays one receiver deep.
+  for (std::size_t ri = 0; ri < ctx.receivers.size(); ++ri) {
+    const packet::PayloadArena::Mark mark = arena.mark();
+    const ReceiverOutput own =
+        receiver_round(a.phase1.announcement, plan.s_announcement,
+                       ctx.rx_payloads[ri], a.z, payload, arena);
+    if (own.error != RoundError::kNone)
+      throw std::logic_error("GroupSecretSession: receiver step failed: " +
+                             std::string(to_string(own.error)));
+    for (std::size_t i = 0; i < a.s.size(); ++i)  // L s-packets each
+      if (!std::equal(own.payloads[i].begin(), own.payloads[i].end(),
+                      a.s[i].begin(), a.s[i].end()))
         throw std::logic_error(
             "GroupSecretSession: terminal decoded a different secret");
-      arena.rewind(mark);
-    }
+    arena.rewind(mark);
   }
 
   // Eve's exact view and this round's score. The pool matrix and the
@@ -184,12 +185,7 @@ RoundOutcome GroupSecretSession::run_round(packet::NodeId alice,
   if (plan.pool_size > 0 && plan.h.rows() > 0)
     eve.observe_coded(plan.h, g, arena);  // public z contents in x-space
 
-  RoundOutcome outcome;
-  outcome.alice = alice;
-  outcome.universe = n;
-  for (packet::NodeId r : ctx.receivers)
-    outcome.pairwise_size.push_back(pool.count_for(r));
-  outcome.pool_size = pool.size();
+  RoundOutcome outcome = outcome_of(ctx, pool);
   outcome.group_packets = plan.group_size;
   outcome.secret_bits = secret_bits(plan, payload);
   outcome.data_packets = n + (pool.size() - plan.group_size);
@@ -197,7 +193,7 @@ RoundOutcome GroupSecretSession::run_round(packet::NodeId alice,
       plan.group_size > 0 ? plan.c.mul(g, arena) : gf::Matrix(0, n);
   outcome.leakage = analysis::compute_leakage(eve, secret_rows);
 
-  for (const packet::ConstByteSpan s : s_payloads)
+  for (const packet::ConstByteSpan s : a.s)
     result.secret.insert(result.secret.end(), s.begin(), s.end());
 
   return outcome;

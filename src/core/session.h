@@ -12,19 +12,22 @@
 //     4. Alice reliably broadcasts the M - L z-packets (contents) and the
 //        s identities (phase 2); every terminal decodes the group secret.
 //
-// The session performs the *real* computation on every side — terminals
-// reconstruct their y-packets from the x-payloads they actually received,
-// repair the missing ones from the z-contents and evaluate the s-packets —
-// and verifies that all terminals agree on the secret bit-for-bit. In
-// parallel it accumulates Eve's exact view (analysis::EveView) and scores
-// each round's reliability, the paper's Figure-2 metric.
+// The session wraps the protocol core (core/protocol.h): it moves Alice's
+// broadcasts over the medium, and every terminal runs the live client's
+// receiver step on the x-payloads it actually received and the public
+// announcements — rebuilding its y-packets, repairing the missing ones from
+// the z-contents and evaluating the s-packets — and must agree with Alice
+// on the secret bit-for-bit. In parallel the session
+// accumulates Eve's exact view (analysis::EveView) and scores each round's
+// reliability, the paper's Figure-2 metric.
 
 #include <cstdint>
 #include <vector>
 
 #include "analysis/leakage.h"
-#include "core/phase1.h"
-#include "core/phase2.h"
+#include "core/estimator.h"
+#include "core/pool.h"
+#include "core/protocol.h"
 #include "core/round.h"
 #include "net/medium.h"
 #include "packet/packet.h"
@@ -85,12 +88,18 @@ struct SessionResult {
   [[nodiscard]] double secret_rate_bps() const;
 };
 
-class GroupSecretSession {
+/// The lifecycle both simulator sessions share — argument validation, the
+/// Alice-rotation run loop and the owned-or-borrowed round arena — around
+/// one round of the subclass's algorithm.
+class SimSession {
  public:
   /// The medium must have >= 2 attached terminals. Eavesdroppers attached
   /// to the medium are scored as one (multi-antenna) adversary holding the
   /// union of their receptions.
-  GroupSecretSession(net::Medium& medium, SessionConfig config);
+  SimSession(net::Medium& medium, SessionConfig config);
+  virtual ~SimSession() = default;
+  SimSession(const SimSession&) = delete;
+  SimSession& operator=(const SimSession&) = delete;
 
   /// Restore construction-equivalent state on a new medium/config: the
   /// round counter restarts at 0 and the owned arena is rewound (blocks
@@ -108,9 +117,25 @@ class GroupSecretSession {
 
   [[nodiscard]] const SessionConfig& config() const { return config_; }
 
- private:
-  RoundOutcome run_round(packet::NodeId alice, packet::RoundId round,
-                         SessionResult& result);
+ protected:
+  /// A round as Alice opens it: phase 1 steps 1-2 on the medium, into the
+  /// rewound round arena, then her `step` (alice_round, or the unicast
+  /// baseline's phase 1) under the configured estimator and pool strategy.
+  struct Opened {
+    RoundContext ctx;
+    AliceRound alice;
+  };
+  [[nodiscard]] Opened open(packet::NodeId alice, packet::RoundId round,
+                            decltype(&alice_round) step);
+
+  /// Reliably broadcast one of Alice's frames: `scratch_pkt_`, whose
+  /// payload the caller has filled, as `kind`/`seq` of `round`.
+  void broadcast(packet::NodeId alice, packet::RoundId round,
+                 packet::Kind kind, std::uint32_t seq, net::TrafficClass cls);
+
+  /// The outcome fields both algorithms fill alike.
+  [[nodiscard]] RoundOutcome outcome_of(const RoundContext& ctx,
+                                        const YPool& pool) const;
 
   [[nodiscard]] packet::PayloadArena& arena() {
     return config_.arena != nullptr ? *config_.arena : owned_arena_;
@@ -118,13 +143,29 @@ class GroupSecretSession {
 
   net::Medium* medium_;  // never null; reset() rebinds
   SessionConfig config_;
-  packet::PayloadArena owned_arena_;  // used when config_.arena is null
-  std::uint32_t next_round_ = 0;
   // Round-loop scratch reused across rounds and (via reset()) across
   // pooled lifetimes: contents are rewritten every use, only capacity
   // survives, so reuse cannot change observable bytes.
   packet::Packet scratch_pkt_;
-  std::vector<std::size_t> receiver_cells_;
+
+ private:
+  virtual RoundOutcome run_round(packet::NodeId alice, packet::RoundId round,
+                                 SessionResult& result) = 0;
+
+  packet::PayloadArena owned_arena_;  // used when config_.arena is null
+  std::uint32_t next_round_ = 0;
+  std::vector<std::size_t> receiver_cells_;  // scratch, like scratch_pkt_
+};
+
+/// The paper's group algorithm: phase 1, then phase 2's coded
+/// redistribution.
+class GroupSecretSession final : public SimSession {
+ public:
+  using SimSession::SimSession;
+
+ private:
+  RoundOutcome run_round(packet::NodeId alice, packet::RoundId round,
+                         SessionResult& result) override;
 };
 
 }  // namespace thinair::core

@@ -11,45 +11,20 @@
 
 namespace thinair::core {
 
-UnicastSession::UnicastSession(net::Medium& medium, SessionConfig config)
-    : medium_(&medium) {
-  reset(medium, std::move(config));
+namespace {
+
+// Alice's step for the baseline: phase 1's pool and y-announcement. The y
+// contents wait until the round is known to distribute a secret (L > 0).
+AliceRound phase1_pool(const ReceptionTable& table,
+                       const EveBoundEstimator& estimator,
+                       PoolStrategy strategy,
+                       std::span<const packet::ConstByteSpan> /*x*/,
+                       std::size_t /*payload_size*/,
+                       packet::PayloadArena& /*arena*/) {
+  return {run_phase1(table, estimator, strategy), {}, {}, {}, {}};
 }
 
-void UnicastSession::reset(net::Medium& medium, SessionConfig config) {
-  if (medium.terminals().size() < 2)
-    throw std::invalid_argument("UnicastSession: need >= 2 terminals");
-  if (config.x_packets_per_round == 0)
-    throw std::invalid_argument("UnicastSession: N == 0");
-  if (config.payload_bytes == 0)
-    throw std::invalid_argument("UnicastSession: empty payloads");
-  medium_ = &medium;
-  config_ = std::move(config);
-  next_round_ = 0;
-  owned_arena_.reset();
-  owned_arena_.trim_to_watermark();
-}
-
-SessionResult UnicastSession::run() {
-  const auto terminals = medium_->terminals();
-  const std::size_t rounds =
-      config_.rounds == 0 ? terminals.size() : config_.rounds;
-
-  SessionResult result;
-  const net::Ledger ledger_before = medium_->ledger();
-  const double time_before = medium_->now();
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const packet::NodeId alice =
-        config_.rotate_alice ? terminals[r % terminals.size()] : terminals[0];
-    result.rounds.push_back(
-        run_round(alice, packet::RoundId{next_round_++}, result));
-  }
-
-  result.ledger = medium_->ledger().since(ledger_before);
-  result.duration_s = medium_->now() - time_before;
-  return result;
-}
+}  // namespace
 
 RoundOutcome UnicastSession::run_round(packet::NodeId alice,
                                        packet::RoundId round,
@@ -58,30 +33,14 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
   const std::size_t payload = config_.payload_bytes;
 
   packet::PayloadArena& arena = this->arena();
-  arena.reset();
 
   // Phase 1 is identical to the group algorithm.
-  const RoundContext ctx =
-      open_round(*medium_, alice, round, n, payload, arena);
-  receiver_cells_.clear();
-  if (!config_.estimator.occupied_cells.empty())
-    for (packet::NodeId r : ctx.receivers)
-      receiver_cells_.push_back(config_.estimator.occupied_cells.at(r.value));
-  const auto estimator =
-      build_estimator(config_.estimator, ctx.table, ctx.eve_indices,
-                      ctx.slot_of, receiver_cells_);
-  const Phase1Result phase1 =
-      run_phase1(ctx.table, *estimator, config_.pool_strategy);
-  const YPool& pool = phase1.build.pool;
+  const auto [ctx, a] = open(alice, round, phase1_pool);
+  const YPool& pool = a.phase1.build.pool;
 
-  {
-    packet::Packet pkt{.kind = packet::Kind::kAnnouncement,
-                       .source = alice,
-                       .round = round,
-                       .seq = packet::PacketSeq{0},
-                       .payload = packet::encode(phase1.announcement)};
-    net::reliable_broadcast(*medium_, alice, pkt, net::TrafficClass::kControl);
-  }
+  packet::encode_into(a.phase1.announcement, scratch_pkt_.payload);
+  broadcast(alice, round, packet::Kind::kAnnouncement, 0,
+            net::TrafficClass::kControl);
 
   // The group secret is L y-packets known to the first receiver; every
   // other receiver gets it one-time-padded with its own pair-wise secret.
@@ -104,45 +63,32 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
     }
     if (best != ctx.receivers.size()) assigned[best].push_back(row);
   }
+  // reset() guarantees >= 2 terminals, so there is at least one receiver.
   std::size_t l = pool.size();
   for (const auto& rows : assigned) l = std::min(l, rows.size());
-  if (ctx.receivers.empty()) l = 0;
 
-  RoundOutcome outcome;
-  outcome.alice = alice;
-  outcome.universe = n;
-  for (packet::NodeId r : ctx.receivers)
-    outcome.pairwise_size.push_back(pool.count_for(r));
-  outcome.pool_size = pool.size();
+  RoundOutcome outcome = outcome_of(ctx, pool);
   outcome.group_packets = l;
   outcome.secret_bits = l * payload * 8;
-  outcome.data_packets =
-      n + (ctx.receivers.size() < 2 ? 0 : (ctx.receivers.size() - 1) * l);
+  outcome.data_packets = n + (ctx.receivers.size() - 1) * l;
 
-  if (l == 0 || ctx.receivers.empty()) {
-    analysis::EveView eve(n);
-    eve.observe_x(ctx.eve_indices);
+  analysis::EveView eve(n);
+  eve.observe_x(ctx.eve_indices);
+  if (l == 0) {
     outcome.leakage = analysis::compute_leakage(eve, gf::Matrix(0, n));
     return outcome;
   }
 
-  const std::vector<packet::ConstByteSpan> y_contents =
+  const std::vector<packet::ConstByteSpan> y =
       all_y_contents(pool, ctx.x_payloads, payload, arena);
-
   const auto secret_indices_of = [&](std::size_t ri) {
     auto rows = assigned[ri];
     rows.resize(l);  // first L exclusively-assigned rows
     return rows;
   };
 
+  // The secret: the first receiver's rows.
   const std::vector<std::size_t> group_idx = secret_indices_of(0);
-  std::vector<packet::ConstByteSpan> s_payloads;
-  s_payloads.reserve(l);
-  for (std::size_t j : group_idx) s_payloads.push_back(y_contents[j]);
-
-  analysis::EveView eve(n);
-  eve.observe_x(ctx.eve_indices);
-
   const gf::Matrix secret_rows = g.select_rows(group_idx);
 
   // Unicast the padded secret to receivers 1..n-2 (receiver 0 holds it
@@ -151,8 +97,8 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
     const std::vector<std::size_t> pad_idx = secret_indices_of(ri);
     gf::Matrix cipher_rows(l, n);
     for (std::size_t j = 0; j < l; ++j) {
-      packet::Payload body(s_payloads[j].begin(), s_payloads[j].end());
-      gf::xor_into(y_contents[pad_idx[j]].data(), body.data(), payload);
+      packet::Payload body(y[group_idx[j]].begin(), y[group_idx[j]].end());
+      gf::xor_into(y[pad_idx[j]].data(), body.data(), payload);
 
       for (std::size_t c = 0; c < n; ++c)
         cipher_rows.set(j, c,
@@ -170,23 +116,21 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
     eve.observe_combinations(cipher_rows);
   }
 
-  // Verification: each receiver strips its pad and must obtain the secret.
-  // Per-receiver reconstruction scratch is rewound once checked.
+  // Verification: each receiver rebuilds its y-packets from the public
+  // announcement as a live client does (the core's receiver_y). Stripping
+  // its pad from the ciphertext s + pad yields the secret exactly when its
+  // pad equals Alice's. Per-receiver scratch is rewound once checked.
   for (std::size_t ri = 1; ri < ctx.receivers.size(); ++ri) {
     const packet::PayloadArena::Mark mark = arena.mark();
-    const auto own_y = reconstruct_y(pool, ctx.receivers[ri],
-                                     ctx.rx_payloads[ri], payload, arena);
-    const std::vector<std::size_t> pad_idx = secret_indices_of(ri);
-    for (std::size_t j = 0; j < l; ++j) {
-      // Ciphertext as transmitted:
-      const packet::ByteSpan cipher = arena.copy(s_payloads[j]);
-      gf::xor_into(y_contents[pad_idx[j]].data(), cipher.data(), payload);
-      // Receiver-side decryption with its reconstructed pad:
-      if (own_y[pad_idx[j]].empty())
+    const ReceiverOutput rx = receiver_y(a.phase1.announcement,
+                                         ctx.rx_payloads[ri], payload, arena);
+    if (rx.error != RoundError::kNone)
+      throw std::logic_error("UnicastSession: receiver step failed");
+    for (const std::size_t row : secret_indices_of(ri)) {
+      const packet::ConstByteSpan pad = rx.payloads[row];
+      if (pad.empty())
         throw std::logic_error("UnicastSession: receiver lacks its pad");
-      gf::xor_into(own_y[pad_idx[j]].data(), cipher.data(), payload);
-      if (!std::equal(cipher.begin(), cipher.end(), s_payloads[j].begin(),
-                      s_payloads[j].end()))
+      if (!std::equal(pad.begin(), pad.end(), y[row].begin(), y[row].end()))
         throw std::logic_error(
             "UnicastSession: receiver decoded a different secret");
     }
@@ -194,8 +138,8 @@ RoundOutcome UnicastSession::run_round(packet::NodeId alice,
   }
 
   outcome.leakage = analysis::compute_leakage(eve, secret_rows);
-  for (const packet::ConstByteSpan s : s_payloads)
-    result.secret.insert(result.secret.end(), s.begin(), s.end());
+  for (const std::size_t j : group_idx)
+    result.secret.insert(result.secret.end(), y[j].begin(), y[j].end());
   return outcome;
 }
 

@@ -13,35 +13,17 @@
 
 namespace thinair::core {
 
-/// Runs phase 1 identically to GroupSecretSession, then distributes the
-/// group secret by pad-and-unicast instead of phase 2. Produces the same
-/// result/metrics types so benches can compare the two algorithms
-/// side by side.
-class UnicastSession {
+/// Runs phase 1 identically to GroupSecretSession (the core's Alice and
+/// receiver phase-1 halves), then distributes the group secret by
+/// pad-and-unicast instead of phase 2. Produces the same result/metrics
+/// types so benches can compare the two algorithms side by side.
+class UnicastSession final : public SimSession {
  public:
-  UnicastSession(net::Medium& medium, SessionConfig config);
-
-  /// Restore construction-equivalent state on a new medium/config —
-  /// the same pooled-lifecycle contract as GroupSecretSession::reset().
-  void reset(net::Medium& medium, SessionConfig config);
-
-  SessionResult run();
-
-  [[nodiscard]] const SessionConfig& config() const { return config_; }
+  using SimSession::SimSession;
 
  private:
   RoundOutcome run_round(packet::NodeId alice, packet::RoundId round,
-                         SessionResult& result);
-
-  [[nodiscard]] packet::PayloadArena& arena() {
-    return config_.arena != nullptr ? *config_.arena : owned_arena_;
-  }
-
-  net::Medium* medium_;  // never null; reset() rebinds
-  SessionConfig config_;
-  packet::PayloadArena owned_arena_;  // used when config_.arena is null
-  std::uint32_t next_round_ = 0;
-  std::vector<std::size_t> receiver_cells_;  // per-round scratch
+                         SessionResult& result) override;
 };
 
 }  // namespace thinair::core

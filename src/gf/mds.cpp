@@ -9,12 +9,16 @@ Matrix vandermonde(std::size_t k, std::size_t n) {
   if (k > n) throw std::invalid_argument("mds::vandermonde: k > n");
   if (n > kMaxColumns) throw std::invalid_argument("mds::vandermonde: n > 255");
   Matrix g(k, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const GF256 x = GF256::alpha_pow(static_cast<unsigned>(j));
-    GF256 p = kOne;
-    for (std::size_t i = 0; i < k; ++i) {
-      g.set(i, j, p);
-      p = p * x;
+  // (alpha^j)^i = alpha^(i*j mod 255): row by row, the exponent steps by
+  // i per column, so each entry is one table lookup (no multiply chain
+  // down each column, no division).
+  for (std::size_t i = 0; i < k; ++i) {
+    const unsigned step = static_cast<unsigned>(i % 255);
+    unsigned e = 0;
+    for (std::uint8_t& entry : g.row(i)) {
+      entry = detail::kTables.exp_[e];
+      e += step;
+      if (e >= 255) e -= 255;
     }
   }
   return g;

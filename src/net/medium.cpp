@@ -54,23 +54,9 @@ void Medium::wait_for_next_slot() {
   now_s_ = next;
 }
 
-void Medium::account_transmit(packet::NodeId source, const packet::Packet& pkt,
-                              TrafficClass cls, const TxResult& result,
-                              std::size_t tx_slot) {
+void Medium::account_transmit(const packet::Packet& pkt, TrafficClass cls,
+                              const TxResult& result) {
   ledger_.add(cls, pkt.wire_size(), result.airtime_s);
-  trace_.record(TraceEntry{
-      .time_s = now_s_,
-      .slot = tx_slot,
-      .cls = cls,
-      .kind = pkt.kind,
-      .source = source,
-      .round = pkt.round,
-      .seq = pkt.seq,
-      .payload_bytes = pkt.payload.size(),
-      .delivered = result.delivered,
-      .reliable = false,
-      .attempt = 0,
-  });
   now_s_ += result.airtime_s + params_.inter_frame_gap_s;
 }
 
@@ -94,7 +80,7 @@ Medium::TxResult SimMedium::transmit(packet::NodeId source,
     if (!model_.erased(rng(), link)) result.delivered.insert(rx);
   }
 
-  account_transmit(source, pkt, cls, result, tx_slot);
+  account_transmit(pkt, cls, result);
   return result;
 }
 

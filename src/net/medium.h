@@ -7,8 +7,8 @@
 // other attached node either receives it or loses it. The base class owns
 // everything transport-independent — the node registry, the virtual clock
 // (frames occupy airtime at the configured rate, 1 Mbps with 100-byte
-// packets in the paper), the byte ledger and the reception trace — and
-// leaves one question to the implementation: who received this frame?
+// packets in the paper) and the byte ledger — and leaves one question to
+// the implementation: who received this frame?
 //
 //   - SimMedium (below) answers it by drawing from an ErasureModel — the
 //     in-process simulator every scenario and test runs on.
@@ -26,7 +26,7 @@
 #include "channel/erasure.h"
 #include "channel/rng.h"
 #include "net/ledger.h"
-#include "net/trace.h"
+#include "net/node_set.h"
 #include "packet/packet.h"
 
 namespace thinair::net {
@@ -76,8 +76,6 @@ class Medium {
 
   [[nodiscard]] const Ledger& ledger() const { return ledger_; }
   [[nodiscard]] Ledger& ledger() { return ledger_; }
-  [[nodiscard]] const Trace& trace() const { return trace_; }
-  [[nodiscard]] Trace& trace() { return trace_; }
   [[nodiscard]] const MacParams& params() const { return params_; }
   [[nodiscard]] channel::Rng& rng() { return rng_; }
 
@@ -95,11 +93,10 @@ class Medium {
  protected:
   Medium(channel::Rng rng, MacParams params);
 
-  /// Shared post-transmit bookkeeping: charge the ledger, append the trace
-  /// entry and advance the virtual clock past the frame + inter-frame gap.
-  void account_transmit(packet::NodeId source, const packet::Packet& pkt,
-                        TrafficClass cls, const TxResult& result,
-                        std::size_t tx_slot);
+  /// Shared post-transmit bookkeeping: charge the ledger and advance the
+  /// virtual clock past the frame + inter-frame gap.
+  void account_transmit(const packet::Packet& pkt, TrafficClass cls,
+                        const TxResult& result);
 
   [[nodiscard]] const std::vector<packet::NodeId>& attach_order() const {
     return order_;
@@ -112,7 +109,6 @@ class Medium {
   std::vector<packet::NodeId> order_;  // attachment order, for determinism
   double now_s_ = 0.0;
   Ledger ledger_;
-  Trace trace_;
 };
 
 /// The in-process simulation: one Bernoulli draw per attached node per

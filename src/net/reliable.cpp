@@ -4,6 +4,19 @@
 
 namespace thinair::net {
 
+namespace {
+
+// The acknowledgement frame of a terminal that newly received an attempt;
+// acks are short and assumed reliable (they carry no secret-relevant
+// content), so only their bytes and airtime are charged.
+void charge_ack(Medium& medium, const ReliableParams& params) {
+  const std::size_t wire =
+      packet::Packet::header_size() + params.ack_payload_bytes;
+  medium.ledger().add(TrafficClass::kAck, wire, medium.frame_airtime_s(wire));
+}
+
+}  // namespace
+
 ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
                                   const packet::Packet& pkt, TrafficClass cls,
                                   ReliableParams params) {
@@ -14,7 +27,6 @@ ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
   for (packet::NodeId t : terminals)
     if (t != source) ++pending;
 
-  std::size_t reliable_frames = 0;
   while (pending > 0) {
     if (result.attempts >= params.max_attempts)
       throw std::runtime_error(
@@ -22,23 +34,13 @@ ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
     ++result.attempts;
 
     const Medium::TxResult tx = medium.transmit(source, pkt, cls);
-    ++reliable_frames;
 
     for (packet::NodeId rx : terminals) {
       if (rx == source || result.delivered.contains(rx)) continue;
       if (tx.delivered.contains(rx)) {
         result.delivered.insert(rx);
         --pending;
-        // Acknowledgement frame from the new receiver; acks are short and
-        // assumed reliable (they carry no secret-relevant content).
-        packet::Packet ack{.kind = packet::Kind::kAck,
-                           .source = rx,
-                           .round = pkt.round,
-                           .seq = pkt.seq,
-                           .payload = packet::Payload(params.ack_payload_bytes,
-                                                      std::uint8_t{0})};
-        medium.ledger().add(TrafficClass::kAck, ack.wire_size(),
-                            medium.frame_airtime_s(ack.wire_size()));
+        charge_ack(medium, params);
       }
     }
     // Any eavesdropper that happened to receive an attempt is noted, though
@@ -49,7 +51,6 @@ ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
     if (pending > 0 && params.slot_backoff) medium.wait_for_next_slot();
   }
 
-  medium.trace().mark_reliable(reliable_frames);
   return result;
 }
 
@@ -60,7 +61,6 @@ ReliableResult reliable_unicast(Medium& medium, packet::NodeId source,
     throw std::invalid_argument("reliable_unicast: unknown destination");
 
   ReliableResult result;
-  std::size_t reliable_frames = 0;
   while (!result.delivered.contains(dest)) {
     if (result.attempts >= params.max_attempts)
       throw std::runtime_error(
@@ -70,16 +70,8 @@ ReliableResult reliable_unicast(Medium& medium, packet::NodeId source,
     const Medium::TxResult tx = medium.transmit(source, pkt, cls);
     if (tx.delivered.contains(dest)) {
       result.delivered.insert(dest);
-      packet::Packet ack{.kind = packet::Kind::kAck,
-                         .source = dest,
-                         .round = pkt.round,
-                         .seq = pkt.seq,
-                         .payload = packet::Payload(params.ack_payload_bytes,
-                                                    std::uint8_t{0})};
-      medium.ledger().add(TrafficClass::kAck, ack.wire_size(),
-                          medium.frame_airtime_s(ack.wire_size()));
+      charge_ack(medium, params);
     }
-    ++reliable_frames;
     for (packet::NodeId e : medium.eavesdroppers())
       if (tx.delivered.contains(e)) result.delivered.insert(e);
 
@@ -87,7 +79,6 @@ ReliableResult reliable_unicast(Medium& medium, packet::NodeId source,
       medium.wait_for_next_slot();
   }
 
-  medium.trace().mark_reliable(reliable_frames);
   return result;
 }
 

@@ -6,9 +6,8 @@
 //
 // Implementation: the sender retransmits until every terminal has the
 // frame; after each attempt, each terminal that newly received the frame
-// answers with a short acknowledgement (charged to the ledger). The trace
-// entries of all attempts are marked `reliable`, which is how the secrecy
-// analysis learns that the content is public.
+// answers with a short acknowledgement (charged to the ledger). The
+// secrecy analysis treats every reliably broadcast content as public.
 
 #include "net/medium.h"
 

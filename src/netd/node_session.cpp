@@ -4,10 +4,7 @@
 #include <utility>
 
 #include "core/estimator.h"
-#include "core/phase1.h"
-#include "core/phase2.h"
-#include "core/pool.h"
-#include "net/trace.h"
+#include "core/protocol.h"
 
 namespace thinair::netd {
 
@@ -15,6 +12,25 @@ namespace {
 
 /// Upper bound on N accepted from the wire (sanity, not a protocol limit).
 constexpr std::uint32_t kMaxUniverse = 4096;
+
+// An outgoing frame; queue_frame / send_immediate stamp session and node.
+Frame make_frame(FrameType type, std::uint32_t aux = 0) {
+  Frame f;
+  f.header.type = static_cast<std::uint8_t>(type);
+  f.header.aux = aux;
+  return f;
+}
+
+// A protocol broadcast of `phase` in `round`.
+Frame make_frame(FrameType type, WirePhase phase, std::uint32_t round,
+                 std::uint32_t seq, std::vector<std::uint8_t> payload) {
+  Frame f = make_frame(type);
+  f.header.phase = static_cast<std::uint8_t>(phase);
+  f.header.round = round;
+  f.header.seq = seq;
+  f.payload = std::move(payload);
+  return f;
+}
 
 }  // namespace
 
@@ -73,20 +89,16 @@ void NodeSession::queue_frame(Frame f) {
   queue_.push_back(std::move(f));
 }
 
-void NodeSession::send_immediate(const Frame& f) {
-  Frame out = f;
-  out.header.session = config_.session_id;
-  out.header.node = config_.node;
-  outbox_.push_back(encode(out));
+void NodeSession::send_immediate(Frame f) {
+  f.header.session = config_.session_id;
+  f.header.node = config_.node;
+  outbox_.push_back(encode(f));
 }
 
 void NodeSession::start(double now_s) {
   if (state_ != State::kIdle) return;
   state_ = State::kJoining;
-  Frame attach;
-  attach.header.type = static_cast<std::uint8_t>(FrameType::kAttach);
-  attach.header.aux = config_.members;
-  queue_frame(std::move(attach));
+  queue_frame(make_frame(FrameType::kAttach, config_.members));
   last_rx_s_ = now_s;
   pump(now_s);
 }
@@ -129,10 +141,7 @@ void NodeSession::on_tick(double now_s) {
   if (state_ == State::kJoining && attached_ && !inflight_.has_value() &&
       now_s - last_rx_s_ >= config_.probe_s &&
       now_s - last_probe_s_ >= config_.probe_s) {
-    Frame attach;
-    attach.header.type = static_cast<std::uint8_t>(FrameType::kAttach);
-    attach.header.aux = config_.members;
-    send_immediate(attach);
+    send_immediate(make_frame(FrameType::kAttach, config_.members));
     last_probe_s_ = now_s;
   }
   // Idle probe: a kNack carrying the next expected relay seq. The hub
@@ -141,10 +150,7 @@ void NodeSession::on_tick(double now_s) {
   if (state_ == State::kRunning && !inflight_.has_value() &&
       now_s - last_rx_s_ >= config_.probe_s &&
       now_s - last_probe_s_ >= config_.probe_s) {
-    Frame probe;
-    probe.header.type = static_cast<std::uint8_t>(FrameType::kNack);
-    probe.header.aux = next_relay_;
-    send_immediate(probe);
+    send_immediate(make_frame(FrameType::kNack, next_relay_));
     last_probe_s_ = now_s;
   }
   pump(now_s);
@@ -185,7 +191,9 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
         const std::uint16_t id = static_cast<std::uint16_t>(
             p[2 + i * 3] | (p[3 + i * 3] << 8));
         const bool eve = (p[4 + i * 3] & kFlagEve) != 0;
-        if (!eve) terminals.push_back(id);
+        if (eve) continue;
+        if (id >= 64) return fail("roster has a terminal id >= 64");
+        terminals.push_back(id);
       }
       if (terminals.size() < 2) return fail("roster has < 2 terminals");
       if (std::find(terminals.begin(), terminals.end(), config_.node) ==
@@ -196,24 +204,18 @@ void NodeSession::on_hub_frame(const Frame& f, double now_s) {
       drain_relays(now_s);  // relays that overtook this kReady
       return;
     }
-    case FrameType::kTxReport:
+    case FrameType::kTxReport:  // acks an in-flight kData
+    case FrameType::kCtrlAck: {  // acks an in-flight kCtrl
+      const FrameType acked = type == FrameType::kTxReport ? FrameType::kData
+                                                           : FrameType::kCtrl;
       if (inflight_.has_value() &&
-          inflight_->header.type ==
-              static_cast<std::uint8_t>(FrameType::kData) &&
+          inflight_->header.type == static_cast<std::uint8_t>(acked) &&
           inflight_->header.phase == f.header.phase &&
           inflight_->header.round == f.header.round &&
           inflight_->header.seq == f.header.seq)
         inflight_.reset();
       return;
-    case FrameType::kCtrlAck:
-      if (inflight_.has_value() &&
-          inflight_->header.type ==
-              static_cast<std::uint8_t>(FrameType::kCtrl) &&
-          inflight_->header.phase == f.header.phase &&
-          inflight_->header.round == f.header.round &&
-          inflight_->header.seq == f.header.seq)
-        inflight_.reset();
-      return;
+    }
     case FrameType::kBye:
       if (state_ == State::kClosing) {
         inflight_.reset();
@@ -248,10 +250,7 @@ void NodeSession::on_relay(const Frame& f, double now_s) {
     // Gap: buffer and ask the hub to resend from the first missing seq.
     pending_relays_.emplace(seq, f);
     if (now_s - last_probe_s_ >= config_.rto_s / 2.0) {
-      Frame nack;
-      nack.header.type = static_cast<std::uint8_t>(FrameType::kNack);
-      nack.header.aux = next_relay_;
-      send_immediate(nack);
+      send_immediate(make_frame(FrameType::kNack, next_relay_));
       last_probe_s_ = now_s;
     }
     return;
@@ -309,19 +308,14 @@ void NodeSession::on_ctrl(const Frame& f, double now_s) {
                               (static_cast<std::uint32_t>(f.payload[2]) << 16) |
                               (static_cast<std::uint32_t>(f.payload[3]) << 24);
       if (n == 0 || n > kMaxUniverse) return fail("bad universe in kEndOfX");
+      if (rr.universe != 0) return;  // reported already
       rr.universe = n;
-      if (rr.reported) return;
-      rr.reported = true;
       packet::ReceptionReport report;
       report.universe = n;
       for (const auto& [seq, payload] : rr.x)
         if (seq < n) report.received.push_back(seq);
-      Frame rf;
-      rf.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-      rf.header.phase = static_cast<std::uint8_t>(WirePhase::kReport);
-      rf.header.round = round;
-      rf.payload = packet::encode(report);
-      queue_frame(std::move(rf));
+      queue_frame(make_frame(FrameType::kCtrl, WirePhase::kReport, round, 0,
+                             packet::encode(report)));
       return;
     }
     case WirePhase::kReport: {
@@ -329,14 +323,21 @@ void NodeSession::on_ctrl(const Frame& f, double now_s) {
       if (alice_of(round) != config_.node || !alice_.has_value() ||
           round_ != round)
         return;
-      auto decoded = packet::decode_report(f.payload);
+      const packet::NodeId from{f.header.node};
+      const std::vector<packet::NodeId>& terminals = alice_->table.receivers();
+      if (std::find(terminals.begin(), terminals.end(), from) ==
+          terminals.end())
+        return;  // an eavesdropper or other non-roster member: no say
+      if (alice_->reported.contains(from)) return;  // keep the first
+      const auto decoded = packet::decode_report(f.payload);
       if (!decoded.has_value()) return fail("undecodable reception report");
-      if (decoded->universe != config_.x_packets_per_round)
-        return fail("report universe mismatch (got " +
-                    std::to_string(decoded->universe) + ", expected " +
-                    std::to_string(config_.x_packets_per_round) + ")");
-      alice_->reports.emplace(f.header.node, std::move(*decoded));
-      if (alice_->reports.size() == roster_.size() - 1)
+      const core::RoundError e =
+          core::record_report(alice_->table, from, *decoded);
+      if (e != core::RoundError::kNone)
+        return fail("bad reception report: " +
+                    std::string(core::to_string(e)));
+      alice_->reported.insert(from);
+      if (alice_->reported.size() == alice_->table.receivers().size())
         finish_alice_round(now_s);
       return;
     }
@@ -347,10 +348,8 @@ void NodeSession::on_ctrl(const Frame& f, double now_s) {
       rx_[round].y_ann = std::move(*decoded);
       return;
     }
-    case WirePhase::kZCoded: {
+    case WirePhase::kZCoded: {  // sizes are the core's to check
       if (!from_alice) return;
-      if (f.payload.size() != config_.payload_bytes)
-        return fail("z payload size mismatch");
       rx_[round].z.emplace(f.header.seq, f.payload);
       return;
     }
@@ -372,9 +371,7 @@ void NodeSession::maybe_start_round(double now_s) {
   if (state_ != State::kRunning || round_active_) return;
   if (round_ >= total_rounds()) {
     state_ = State::kClosing;
-    Frame bye;
-    bye.header.type = static_cast<std::uint8_t>(FrameType::kBye);
-    queue_frame(std::move(bye));
+    queue_frame(make_frame(FrameType::kBye));
     return;
   }
   round_active_ = true;
@@ -384,97 +381,60 @@ void NodeSession::maybe_start_round(double now_s) {
 
 void NodeSession::start_alice_round(double /*now_s*/) {
   const std::size_t n = config_.x_packets_per_round;
-  alice_.emplace();
-  alice_->x.resize(n);
+  std::vector<packet::NodeId> receivers;
+  for (std::uint16_t id : roster_)
+    if (id != config_.node) receivers.push_back(packet::NodeId{id});
+  alice_.emplace(AliceState{
+      .x = std::vector<std::vector<std::uint8_t>>(n),
+      .table = core::ReceptionTable(packet::NodeId{config_.node},
+                                    std::move(receivers), n),
+      .reported = {}});
   for (std::size_t i = 0; i < n; ++i) {
     auto& payload = alice_->x[i];
     payload.resize(config_.payload_bytes);
     for (auto& b : payload) b = payload_rng_.next_byte();
-    Frame f;
-    f.header.type = static_cast<std::uint8_t>(FrameType::kData);
-    f.header.phase = static_cast<std::uint8_t>(WirePhase::kXData);
-    f.header.round = round_;
-    f.header.seq = static_cast<std::uint32_t>(i);
-    f.payload = payload;
-    queue_frame(std::move(f));
+    queue_frame(make_frame(FrameType::kData, WirePhase::kXData, round_,
+                           static_cast<std::uint32_t>(i), payload));
   }
-  Frame end;
-  end.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-  end.header.phase = static_cast<std::uint8_t>(WirePhase::kEndOfX);
-  end.header.round = round_;
   // N travels in the payload: relays repurpose aux for the stream seq.
   const auto n32 = static_cast<std::uint32_t>(n);
-  end.payload = {static_cast<std::uint8_t>(n32),
-                 static_cast<std::uint8_t>(n32 >> 8),
-                 static_cast<std::uint8_t>(n32 >> 16),
-                 static_cast<std::uint8_t>(n32 >> 24)};
-  queue_frame(std::move(end));
+  queue_frame(make_frame(FrameType::kCtrl, WirePhase::kEndOfX, round_, 0,
+                         {static_cast<std::uint8_t>(n32),
+                          static_cast<std::uint8_t>(n32 >> 8),
+                          static_cast<std::uint8_t>(n32 >> 16),
+                          static_cast<std::uint8_t>(n32 >> 24)}));
 }
 
 void NodeSession::finish_alice_round(double now_s) {
-  const std::size_t n = config_.x_packets_per_round;
-  const std::size_t payload = config_.payload_bytes;
   arena_.reset();
-
-  std::vector<packet::NodeId> receivers;
-  for (std::uint16_t id : roster_)
-    if (id != config_.node) receivers.push_back(packet::NodeId{id});
-  core::ReceptionTable table(packet::NodeId{config_.node}, receivers, n);
-  for (const auto& [id, report] : alice_->reports)
-    table.set_received(packet::NodeId{id}, report.received);
 
   // The daemon path has no oracle and no interference schedule, so size
   // the secret with the paper's empirical strategy (loo-fraction).
   core::EstimatorSpec spec;
   spec.kind = core::EstimatorKind::kLooFraction;
-  const auto estimator = core::build_estimator(spec, table, {});
-  const core::Phase1Result phase1 = core::run_phase1(table, *estimator);
-  const core::YPool& pool = phase1.build.pool;
-  const core::Phase2Plan plan = core::plan_phase2(pool);
-
-  std::vector<packet::ConstByteSpan> x_spans(alice_->x.begin(),
+  const std::vector<packet::ConstByteSpan> x(alice_->x.begin(),
                                              alice_->x.end());
-  const std::vector<packet::ConstByteSpan> y_contents =
-      core::all_y_contents(pool, x_spans, payload, arena_);
-  const std::vector<packet::ConstByteSpan> z_payloads =
-      plan.h.rows() > 0
-          ? core::make_z_payloads(plan, y_contents, payload, arena_)
-          : std::vector<packet::ConstByteSpan>{};
+  const core::AliceRound r = core::alice_round(
+      alice_->table, *core::build_estimator(spec, alice_->table, {}),
+      core::PoolStrategy::kClassShared, x, config_.payload_bytes, arena_);
 
-  Frame ya;
-  ya.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-  ya.header.phase = static_cast<std::uint8_t>(WirePhase::kYAnnouncement);
-  ya.header.round = round_;
-  ya.payload = packet::encode(phase1.announcement);
+  Frame ya = make_frame(FrameType::kCtrl, WirePhase::kYAnnouncement, round_,
+                        0, packet::encode(r.phase1.announcement));
   if (ya.payload.size() > kMaxPayload)
     return fail("y-announcement exceeds frame cap (reduce N)");
   queue_frame(std::move(ya));
-
-  for (std::size_t zi = 0; zi < z_payloads.size(); ++zi) {
-    Frame zf;
-    zf.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-    zf.header.phase = static_cast<std::uint8_t>(WirePhase::kZCoded);
-    zf.header.round = round_;
-    zf.header.seq = static_cast<std::uint32_t>(zi);
-    zf.payload.assign(z_payloads[zi].begin(), z_payloads[zi].end());
-    queue_frame(std::move(zf));
-  }
-
-  Frame sa;
-  sa.header.type = static_cast<std::uint8_t>(FrameType::kCtrl);
-  sa.header.phase = static_cast<std::uint8_t>(WirePhase::kSAnnouncement);
-  sa.header.round = round_;
-  sa.payload = packet::encode(plan.s_announcement);
+  for (std::size_t zi = 0; zi < r.z.size(); ++zi)
+    queue_frame(make_frame(FrameType::kCtrl, WirePhase::kZCoded, round_,
+                           static_cast<std::uint32_t>(zi),
+                           {r.z[zi].begin(), r.z[zi].end()}));
+  Frame sa = make_frame(FrameType::kCtrl, WirePhase::kSAnnouncement, round_,
+                        0, packet::encode(r.plan.s_announcement));
   if (sa.payload.size() > kMaxPayload)
     return fail("s-announcement exceeds frame cap (reduce N)");
   queue_frame(std::move(sa));
 
-  if (plan.group_size > 0) {
-    const std::vector<packet::ConstByteSpan> s_payloads =
-        core::make_s_payloads(plan, y_contents, payload, arena_);
-    for (const packet::ConstByteSpan s : s_payloads)
-      secret_.insert(secret_.end(), s.begin(), s.end());
-  }
+  for (const packet::ConstByteSpan s : r.s)
+    secret_.insert(secret_.end(), s.begin(), s.end());
   alice_.reset();
   round_complete(now_s);
 }
@@ -486,58 +446,27 @@ void NodeSession::finish_receiver_round(std::uint32_t round,
   if (it == rx_.end() || !it->second.y_ann.has_value())
     return fail("s-announcement before y-announcement");
   RoundRx& rr = it->second;
-  const std::size_t payload = config_.payload_bytes;
-  const std::uint32_t n = rr.universe;
-  if (n == 0) return fail("s-announcement before kEndOfX");
+  if (rr.universe == 0) return fail("s-announcement before kEndOfX");
 
-  const std::size_t m = rr.y_ann->combinations.size();
-  const std::size_t l = s_ann.combinations.size();
-  if (l > m) return fail("announced L > M");
+  std::vector<packet::ConstByteSpan> x(rr.universe);
+  for (const auto& [seq, bytes] : rr.x)
+    if (seq < rr.universe) x[seq] = bytes;
+  // z in sequence order; a gap stays an empty span, which the core
+  // rejects as a size mismatch.
+  std::vector<packet::ConstByteSpan> z;
+  z.reserve(rr.z.size());
+  for (const auto& [seq, bytes] : rr.z)
+    z.push_back(seq == z.size() ? packet::ConstByteSpan(bytes)
+                                : packet::ConstByteSpan{});
 
-  // Rebuild Alice's plan from public sizes alone, and the own pool view
-  // from the y identities: this terminal can reconstruct y_j iff the
-  // combination's support lies inside its reception set.
-  const core::Phase2Plan plan = core::plan_phase2(m, l);
-  if (rr.z.size() != plan.h.rows() ||
-      (!rr.z.empty() && rr.z.rbegin()->first != rr.z.size() - 1))
-    return fail("z-packet set incomplete at s-announcement");
-
-  if (l > 0) {
-    arena_.reset();
-    const packet::NodeId self{config_.node};
-    core::YPool pool(n, {self});
-    for (const packet::Combination& combo : rr.y_ann->combinations) {
-      bool have_all = true;
-      for (const packet::Term& t : combo.terms()) {
-        if (t.index >= n) return fail("y combination index out of range");
-        if (!rr.x.contains(t.index)) have_all = false;
-      }
-      net::NodeSet audience;
-      if (have_all && !combo.empty()) audience.insert(self);
-      pool.add({combo, audience});
-    }
-
-    std::vector<packet::ConstByteSpan> x_spans(n);
-    for (const auto& [seq, bytes] : rr.x)
-      if (seq < n) x_spans[seq] = bytes;
-
-    std::vector<packet::ConstByteSpan> z_spans;
-    z_spans.reserve(rr.z.size());
-    for (const auto& [seq, bytes] : rr.z) z_spans.push_back(bytes);
-
-    try {
-      const auto own_y =
-          core::reconstruct_y(pool, self, x_spans, payload, arena_);
-      const auto full_y =
-          core::recover_all_y(plan, own_y, z_spans, payload, arena_);
-      const auto own_s =
-          core::make_s_payloads(plan, full_y, payload, arena_);
-      for (const packet::ConstByteSpan s : own_s)
-        secret_.insert(secret_.end(), s.begin(), s.end());
-    } catch (const std::exception& e) {
-      return fail(std::string("secret reconstruction failed: ") + e.what());
-    }
-  }
+  arena_.reset();
+  const core::ReceiverOutput own = core::receiver_round(
+      *rr.y_ann, s_ann, x, z, config_.payload_bytes, arena_);
+  if (own.error != core::RoundError::kNone)
+    return fail("secret reconstruction failed: " +
+                std::string(core::to_string(own.error)));
+  for (const packet::ConstByteSpan s : own.payloads)
+    secret_.insert(secret_.end(), s.begin(), s.end());
 
   rx_.erase(it);
   round_complete(now_s);

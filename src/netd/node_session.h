@@ -3,23 +3,22 @@
 //
 // A NodeSession is the distributed counterpart of GroupSecretSession: it
 // owns exactly one terminal and speaks the thinaird wire protocol to a
-// SessionHub, reusing the unmodified phase-1/phase-2 computations
-// (core/phase1.h, core/phase2.h). Rounds rotate the Alice role through
-// the roster in ascending node-id order; whichever terminal's turn it is
+// SessionHub. Like the simulator sessions it wraps the protocol
+// core (core/protocol.h): it only encodes and decodes frames around the
+// core's two steps. Rounds rotate the Alice role through the
+// roster in ascending node-id order; whichever terminal's turn it is
 // drives the round:
 //
 //   as Alice     broadcast N x-payloads (kData, drawn from the node's own
-//                payload stream), mark the end (kEndOfX), collect every
-//                peer's reception report, run phase 1 + phase 2 exactly as
-//                the in-process session does, and reliably broadcast the
-//                y identities, the z contents and the s identities.
+//                payload stream), mark the end (kEndOfX), record every
+//                roster terminal's reception report (reports from anyone
+//                else — an eavesdropper — are ignored), run the core's
+//                Alice step, and reliably broadcast the y identities, the
+//                z contents and the s identities.
 //   as receiver  record which x-packets survived the hub's erasure draws,
-//                report them, rebuild Alice's pool view from the public
-//                y-announcement (audience = {self} iff the combination's
-//                support lies inside the own reception set), rebuild the
-//                phase-2 plan from public sizes alone (plan_phase2(M, L)),
-//                repair the missing y-packets from the z contents and
-//                evaluate the s-packets.
+//                report them, and run the core's receiver step on the
+//                public announcements, the own x-packets and the z
+//                contents; a classified error fails the session.
 //
 // Both sides append the same s-payload bytes, so every terminal of a
 // session derives the byte-identical secret — the property the e2e tests
@@ -47,6 +46,7 @@
 
 #include "channel/rng.h"
 #include "core/reception.h"
+#include "net/node_set.h"
 #include "netd/wire.h"
 #include "packet/arena.h"
 #include "packet/serialize.h"
@@ -119,21 +119,21 @@ class NodeSession {
   // Receiver-side state of one round, keyed by round index.
   struct RoundRx {
     std::map<std::uint32_t, std::vector<std::uint8_t>> x;  // seq -> payload
-    std::uint32_t universe = 0;  // N, learned from kEndOfX (0 = not yet)
-    bool reported = false;
+    std::uint32_t universe = 0;  // N from kEndOfX, then reported (0 = not yet)
     std::optional<packet::Announcement> y_ann;
     std::map<std::uint32_t, std::vector<std::uint8_t>> z;  // seq -> payload
   };
 
   // Alice-side state of the round this node is driving.
-  struct AliceRound {
+  struct AliceState {
     std::vector<std::vector<std::uint8_t>> x;  // all N payloads
-    std::map<std::uint16_t, packet::ReceptionReport> reports;
+    core::ReceptionTable table;                // the receivers' reports
+    net::NodeSet reported;                     // receivers heard from
   };
 
   void fail(std::string why);
   void queue_frame(Frame f);           // reliable (ARQ) path
-  void send_immediate(const Frame& f);  // fire-and-forget (kNack)
+  void send_immediate(Frame f);  // fire-and-forget (kNack)
   void pump(double now_s);
   void on_hub_frame(const Frame& f, double now_s);
   void on_relay(const Frame& f, double now_s);
@@ -181,7 +181,7 @@ class NodeSession {
   std::uint32_t round_ = 0;            // rounds completed locally
   bool round_active_ = false;
   std::map<std::uint32_t, RoundRx> rx_;
-  std::optional<AliceRound> alice_;
+  std::optional<AliceState> alice_;
   std::vector<std::uint8_t> secret_;
 };
 

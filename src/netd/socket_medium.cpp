@@ -78,7 +78,6 @@ net::Medium::TxResult HubBackedMedium::transmit(packet::NodeId source,
   f.header.seq = next_wire_seq_++;
   f.payload = pkt.payload;
 
-  const std::size_t tx_slot = slot();
   const std::uint32_t mask = exchange(encode(f), source.value, f.header.seq);
 
   TxResult result;
@@ -88,7 +87,7 @@ net::Medium::TxResult HubBackedMedium::transmit(packet::NodeId source,
     if ((mask & (1u << i)) != 0)
       result.delivered.insert(packet::NodeId{mask_order_[i]});
   }
-  account_transmit(source, pkt, cls, result, tx_slot);
+  account_transmit(pkt, cls, result);
   return result;
 }
 

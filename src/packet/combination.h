@@ -40,13 +40,10 @@ class Combination {
     if (!coeff.is_zero()) terms_.push_back({index, coeff});
   }
 
-  /// Evaluate over `inputs`, where inputs[t.index] must be a payload of
-  /// size `payload_size` for every term t.
-  [[nodiscard]] Payload apply(std::span<const Payload> inputs,
-                              std::size_t payload_size) const;
-
-  /// Arena path: evaluate into a fresh zeroed span from `arena` of size
-  /// `payload_size`. Inputs are raw views (typically other arena spans).
+  /// Evaluate over `inputs` into a fresh zeroed span of `payload_size`
+  /// bytes from `arena`. inputs[t.index] must be a view of `payload_size`
+  /// bytes for every term t (throws otherwise). A zero `payload_size`
+  /// yields an empty span without touching the inputs.
   [[nodiscard]] ConstByteSpan apply(std::span<const ConstByteSpan> inputs,
                                     std::size_t payload_size,
                                     PayloadArena& arena) const;
@@ -55,7 +52,6 @@ class Combination {
   /// term, where each referenced input must have out.size() bytes. A
   /// zero-length `out` is a no-op — empty inputs are never dereferenced.
   void apply_into(std::span<const ConstByteSpan> inputs, ByteSpan out) const;
-  void apply_into(std::span<const Payload> inputs, ByteSpan out) const;
 
   /// Dense coefficient row of width `universe` (index -> coefficient),
   /// used by the secrecy analysis.

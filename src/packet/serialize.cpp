@@ -16,6 +16,11 @@ void put_u32(Payload& out, std::uint32_t v) {
   }
 }
 
+// ceil(N / 8) in size_t: in u32, (N + 7) / 8 wraps to 0 for N >= 2^32 - 7.
+std::size_t bitmap_bytes(std::uint32_t universe) {
+  return (std::size_t{universe} + 7) / 8;
+}
+
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -40,6 +45,7 @@ class Reader {
     return v;
   }
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   std::span<const std::uint8_t> bytes_;
@@ -60,7 +66,7 @@ void encode_into(const ReceptionReport& r, Payload& out) {
   // Bitmap over the universe: ceil(N / 8) bytes, appended zeroed then set
   // in place (no temporary).
   const std::size_t head = out.size();
-  out.resize(head + (r.universe + 7) / 8, 0);
+  out.resize(head + bitmap_bytes(r.universe), 0);
   for (std::uint32_t idx : r.received) {
     if (idx < r.universe)
       out[head + idx / 8] |= static_cast<std::uint8_t>(1u << (idx % 8));
@@ -72,17 +78,12 @@ std::optional<ReceptionReport> decode_report(
   Reader in(bytes);
   const auto universe = in.u32();
   if (!universe) return std::nullopt;
+  // The bitmap must be exactly the rest of the input: this also rejects a
+  // universe too large for the bytes at hand before anything is allocated.
+  if (in.remaining() != bitmap_bytes(*universe)) return std::nullopt;
+  const std::span<const std::uint8_t> bitmap = bytes.last(in.remaining());
   ReceptionReport r;
   r.universe = *universe;
-  const std::size_t nbytes = (r.universe + 7) / 8;
-  std::vector<std::uint8_t> bitmap;
-  bitmap.reserve(nbytes);
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    const auto b = in.u8();
-    if (!b) return std::nullopt;
-    bitmap.push_back(*b);
-  }
-  if (!in.done()) return std::nullopt;
   for (std::uint32_t idx = 0; idx < r.universe; ++idx)
     if (bitmap[idx / 8] & (1u << (idx % 8))) r.received.push_back(idx);
   return r;

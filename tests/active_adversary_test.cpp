@@ -17,6 +17,7 @@
 #include "channel/rng.h"
 #include "core/phase1.h"
 #include "core/phase2.h"
+#include "core/protocol.h"
 #include "packet/serialize.h"
 
 namespace thinair::core {
@@ -134,20 +135,20 @@ TEST(ActiveAdversary, ProtocolOutputSustainsAuthentication) {
   ReceptionTable table(T(0), {T(1)}, s.universe);
   table.set_received(T(1), s.honest_r1);
   const OracleEstimator est(s.eve, s.universe);
-  const Phase1Result p1 = run_phase1(table, est, PoolStrategy::kClassShared);
-  const Phase2Plan plan = plan_phase2(p1.build.pool);
-  ASSERT_GT(plan.group_size, 0u);
 
   channel::Rng rng(7);
-  std::vector<packet::Payload> x(s.universe);
+  packet::PayloadArena arena;
+  std::vector<packet::ConstByteSpan> x(s.universe);
   for (auto& p : x) {
-    p.resize(32);
-    for (auto& b : p) b = rng.next_byte();
+    const packet::ByteSpan body = arena.alloc_uninit(32);
+    for (auto& b : body) b = rng.next_byte();
+    p = body;
   }
-  const auto y = all_y_contents(p1.build.pool, x, 32);
-  const auto secret_packets = make_s_payloads(plan, y, 32);
+  const AliceRound round =
+      alice_round(table, est, PoolStrategy::kClassShared, x, 32, arena);
+  ASSERT_GT(round.plan.group_size, 0u);
   std::vector<std::uint8_t> secret;
-  for (const auto& p : secret_packets)
+  for (const packet::ConstByteSpan p : round.s)
     secret.insert(secret.end(), p.begin(), p.end());
   ASSERT_GE(secret.size(), auth::MacKey::kBytes);
 

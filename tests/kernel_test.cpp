@@ -451,7 +451,7 @@ TEST(PayloadArena, MarkRewindReclaims) {
   EXPECT_EQ(arena.alloc(0).size(), 0u);
 }
 
-TEST(Combination, ArenaApplyMatchesVectorApply) {
+TEST(Combination, ArenaApplyMatchesScalarReference) {
   packet::PayloadArena arena;
   const std::vector<packet::Payload> inputs = {
       random_bytes(32, 1), random_bytes(32, 2), random_bytes(32, 3)};
@@ -461,15 +461,17 @@ TEST(Combination, ArenaApplyMatchesVectorApply) {
   c.add(0, gf::GF256{3});
   c.add(2, gf::GF256{0x7F});
 
-  const packet::Payload want = c.apply(inputs, 32);
+  packet::Payload want(32);
+  for (std::size_t b = 0; b < want.size(); ++b)
+    want[b] = (gf::GF256{3} * gf::GF256{inputs[0][b]} +
+               gf::GF256{0x7F} * gf::GF256{inputs[2][b]})
+                  .value();
   const packet::ConstByteSpan got =
       c.apply(std::span<const packet::ConstByteSpan>(views), 32, arena);
   EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()));
 
   // The zero-length fix: empty payloads are skipped without touching
-  // in.data(), including inputs that are themselves empty vectors.
-  const std::vector<packet::Payload> empty_inputs(3);
-  EXPECT_EQ(c.apply(empty_inputs, 0), packet::Payload{});
+  // in.data(), including inputs that are themselves empty views.
   EXPECT_TRUE(c.apply(std::span<const packet::ConstByteSpan>(
                           std::vector<packet::ConstByteSpan>(3)),
                       0, arena)

@@ -17,6 +17,20 @@ TEST(Mds, VandermondeShapeAndFirstRow) {
     EXPECT_EQ(g.at(1, j), GF256::alpha_pow(static_cast<unsigned>(j)));
 }
 
+TEST(Mds, VandermondeEntriesArePowersOfThePoints) {
+  // Entry (i, j) = (alpha^j)^i, by repeated multiplication, over the full
+  // 255 x 255 range where the exponent i*j wraps mod 255 many times.
+  const Matrix g = vandermonde_square(255);
+  for (std::size_t j = 0; j < 255; ++j) {
+    const GF256 x = GF256::alpha_pow(static_cast<unsigned>(j));
+    GF256 p = kOne;
+    for (std::size_t i = 0; i < 255; ++i) {
+      ASSERT_EQ(g.at(i, j), p) << "i=" << i << " j=" << j;
+      p = p * x;
+    }
+  }
+}
+
 TEST(Mds, VandermondePreconditions) {
   EXPECT_THROW(vandermonde(5, 3), std::invalid_argument);
   EXPECT_THROW(vandermonde(1, 256), std::invalid_argument);

@@ -1,4 +1,4 @@
-// Broadcast medium, ledger accounting, reception trace and reliable
+// Broadcast medium, delivery sets, ledger accounting and reliable
 // broadcast/unicast.
 #include <gtest/gtest.h>
 
@@ -116,17 +116,21 @@ TEST(Medium, LedgerChargesWireBytes) {
             100u + packet::Packet::header_size());
 }
 
-TEST(Medium, TraceRecordsDeliveryAndSlot) {
+TEST(Medium, TransmitReportsDeliveryAndAdvancesSlot) {
   channel::IidErasure ch(0.0);
-  SimMedium medium(ch, channel::Rng(6));
+  MacParams mac;
+  mac.slot_duration_s = 5e-4;  // shorter than one 42-byte frame
+  SimMedium medium(ch, channel::Rng(6), mac);
   medium.attach(packet::NodeId{0}, Role::kTerminal);
   medium.attach(packet::NodeId{1}, Role::kTerminal);
-  medium.transmit(packet::NodeId{0}, data_packet(0, 42), TrafficClass::kData);
-  ASSERT_EQ(medium.trace().entries().size(), 1u);
-  const TraceEntry& e = medium.trace().entries()[0];
-  EXPECT_EQ(e.payload_bytes, 42u);
-  EXPECT_TRUE(e.delivered.contains(packet::NodeId{1}));
-  EXPECT_FALSE(e.reliable);
+  EXPECT_EQ(medium.slot(), 0u);
+  const Medium::TxResult tx = medium.transmit(
+      packet::NodeId{0}, data_packet(0, 42), TrafficClass::kData);
+  EXPECT_TRUE(tx.delivered.contains(packet::NodeId{1}));
+  EXPECT_FALSE(tx.delivered.contains(packet::NodeId{0}));  // not the sender
+  EXPECT_DOUBLE_EQ(tx.airtime_s, medium.frame_airtime_s(
+                                     42 + packet::Packet::header_size()));
+  EXPECT_GT(medium.slot(), 0u);
 }
 
 TEST(Medium, RejectsUnknownSourceAndReattach) {
@@ -164,15 +168,14 @@ TEST(Reliable, BroadcastReachesAllTerminals) {
   EXPECT_GE(result.attempts, 1u);
 }
 
-TEST(Reliable, TraceMarksAllAttemptsReliable) {
+TEST(Reliable, AttemptsCountEveryFrameOnTheAir) {
   channel::IidErasure ch(0.6);
   SimMedium medium(ch, channel::Rng(10));
   medium.attach(packet::NodeId{0}, Role::kTerminal);
   medium.attach(packet::NodeId{1}, Role::kTerminal);
-  reliable_broadcast(medium, packet::NodeId{0}, data_packet(0, 20),
-                     TrafficClass::kControl);
-  for (const TraceEntry& e : medium.trace().entries())
-    EXPECT_TRUE(e.reliable);
+  const ReliableResult r = reliable_broadcast(
+      medium, packet::NodeId{0}, data_packet(0, 20), TrafficClass::kControl);
+  EXPECT_EQ(medium.ledger().frames(TrafficClass::kControl), r.attempts);
 }
 
 TEST(Reliable, AcksAreCharged) {

@@ -14,6 +14,7 @@
 #include "netd/node_session.h"
 #include "netd/timer_wheel.h"
 #include "netd/wire.h"
+#include "packet/serialize.h"
 
 namespace thinair::netd {
 namespace {
@@ -61,6 +62,11 @@ class LoopHarness {
   // Return true to drop. Called once per datagram in each direction.
   std::function<bool(const Outgoing&)> drop_to_client;
   std::function<bool(const std::vector<std::uint8_t>&)> drop_to_hub;
+  // A scripted member with no NodeSession (an eavesdropper, say): sees
+  // every datagram the hub addresses to an id no node owns and returns the
+  // datagrams it sends back to the hub.
+  std::function<std::vector<std::vector<std::uint8_t>>(const Outgoing&)>
+      scripted_peer;
 
  private:
   bool step() {
@@ -83,8 +89,15 @@ class LoopHarness {
     for (const Outgoing& o : out) {
       if (drop_to_client && drop_to_client(o)) continue;
       const auto it = index_of_.find(o.node);
-      if (it != index_of_.end())
+      if (it != index_of_.end()) {
         nodes_[it->second]->on_datagram(o.datagram, now_);
+      } else if (scripted_peer) {
+        for (const auto& reply : scripted_peer(o)) {
+          std::vector<Outgoing> more;
+          hub.on_datagram(reply, now_, more);
+          route(more);
+        }
+      }
     }
   }
 
@@ -225,6 +238,30 @@ TEST(NetdNode, RelayBeforeReadyIsBufferedNotFatal) {
   EXPECT_EQ(node.state(), NodeSession::State::kJoining);
 }
 
+TEST(NetdNode, RosterTerminalIdOutsideNodeSetFails) {
+  // Node ids are 16-bit on the wire, but the protocol's node sets hold ids
+  // below 64: a roster naming a terminal past that must fail the session
+  // as a protocol error, not throw once that terminal's report arrives.
+  NodeSession node(make_node(0, 2));
+  node.start(0.0);
+  const auto hub_frame = [](FrameType type) {
+    Frame f;
+    f.header.type = static_cast<std::uint8_t>(type);
+    f.header.session = 0xA11CE;
+    return f;
+  };
+  node.on_datagram(encode(hub_frame(FrameType::kAttachOk)), 0.1);
+  Frame ready = hub_frame(FrameType::kReady);
+  ready.payload = {2, 0, 0, 0, 0, 70, 0, 0};  // members {0, 70}
+  node.on_datagram(encode(ready), 0.2);
+  Frame report = hub_frame(FrameType::kRelay);
+  report.header.node = 70;
+  report.header.phase = static_cast<std::uint8_t>(WirePhase::kReport);
+  report.payload = packet::encode(packet::ReceptionReport{16, {1, 2, 3}});
+  EXPECT_NO_THROW(node.on_datagram(encode(report), 0.3));
+  EXPECT_TRUE(node.failed());
+}
+
 TEST(NetdLoop, SurvivesLostReady) {
   // kReady is sent exactly once per member; if it vanishes, the joining
   // node's periodic attach replay must pull a fresh copy out of the hub.
@@ -246,6 +283,59 @@ TEST(NetdLoop, SurvivesLostReady) {
   EXPECT_EQ(dropped, 2u);
   EXPECT_EQ(h.node(0).secret(), h.node(1).secret());
   EXPECT_FALSE(h.node(0).secret().empty());
+}
+
+TEST(NetdLoop, ReportFromEavesdropperIsIgnored) {
+  // An eavesdropper attached to the session relays a round-0 reception
+  // report the moment the roster completes — ahead of the real receiver's.
+  // Only roster terminals report: Alice must neither count it toward her
+  // quorum nor let it reach her reception table (which throws on an id it
+  // does not know), and must not even decode it — a malformed report from
+  // a non-terminal is no reason to fail her session.
+  constexpr std::uint16_t kEve = 2;
+  packet::ReceptionReport well_formed{32, {}};  // make_node: N = 32
+  for (std::uint32_t i = 0; i < 32; i += 2) well_formed.received.push_back(i);
+  const std::vector<std::vector<std::uint8_t>> payloads{
+      packet::encode(well_formed), {0xFF, 0xFF, 0xFF, 0xFF}};
+  for (const std::vector<std::uint8_t>& payload : payloads) {
+    SCOPED_TRACE(payload.size());
+    LoopHarness h{HubConfig{}};
+    h.add_node(make_node(0, 3));
+    h.add_node(make_node(1, 3));
+    const auto eve_frame = [](FrameType type) {
+      Frame f;
+      f.header.type = static_cast<std::uint8_t>(type);
+      f.header.session = 0xA11CE;
+      f.header.node = kEve;
+      return f;
+    };
+    Frame attach = eve_frame(FrameType::kAttach);
+    attach.header.flags = kFlagEve;
+    attach.header.aux = 3;
+    std::vector<Outgoing> ignored;
+    h.hub.on_datagram(encode(attach), 0.0, ignored);
+
+    bool reported = false;
+    h.scripted_peer = [&](const Outgoing& o) {
+      std::vector<std::vector<std::uint8_t>> replies;
+      const DecodeResult d = decode(o.datagram);
+      if (reported || !d.frame.has_value() ||
+          static_cast<FrameType>(d.frame->header.type) != FrameType::kReady)
+        return replies;
+      reported = true;
+      Frame report = eve_frame(FrameType::kCtrl);
+      report.header.phase = static_cast<std::uint8_t>(WirePhase::kReport);
+      report.header.round = 0;
+      report.payload = payload;
+      replies.push_back(encode(report));
+      return replies;
+    };
+    ASSERT_TRUE(h.run());
+    EXPECT_TRUE(reported);
+    EXPECT_EQ(h.node(0).roster().size(), 2u);
+    EXPECT_FALSE(h.node(0).secret().empty());
+    EXPECT_EQ(h.node(0).secret(), h.node(1).secret());
+  }
 }
 
 TEST(NetdHub, NackPastRingRepliesError) {

@@ -15,6 +15,7 @@
 #include "channel/rng.h"
 #include "core/phase1.h"
 #include "core/phase2.h"
+#include "core/protocol.h"
 
 namespace thinair::core {
 namespace {
@@ -26,15 +27,22 @@ constexpr std::uint32_t X(std::uint32_t paper_index) {
   return paper_index - 1;
 }
 
-std::vector<packet::Payload> random_payloads(std::size_t n, std::size_t size,
-                                             std::uint64_t seed) {
+using Spans = std::vector<packet::ConstByteSpan>;
+
+Spans random_payloads(std::size_t n, std::size_t size, std::uint64_t seed,
+                      packet::PayloadArena& arena) {
   channel::Rng rng(seed);
-  std::vector<packet::Payload> out(n);
+  Spans out(n);
   for (auto& p : out) {
-    p.resize(size);
-    for (auto& b : p) b = rng.next_byte();
+    const packet::ByteSpan body = arena.alloc_uninit(size);
+    for (auto& b : body) b = rng.next_byte();
+    p = body;
   }
   return out;
+}
+
+bool same_bytes(packet::ConstByteSpan a, packet::ConstByteSpan b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 class Paper31Example : public ::testing::Test {
@@ -69,15 +77,18 @@ TEST_F(Paper31Example, ProtocolDistilsExactlyTwoSecretPackets) {
   eve.observe_x(eve_);
   EXPECT_EQ(eve.equivocation(p1.build.pool.rows()), 2u);
 
-  // And Bob really can: end-to-end payload check.
-  const auto x = random_payloads(10, 100, 1);
-  const auto y = all_y_contents(p1.build.pool, x, 100);
-  std::vector<std::optional<packet::Payload>> bob_x(10);
+  // And Bob really can, from the public announcement and the packets he
+  // heard: end-to-end payload check.
+  packet::PayloadArena arena;
+  const Spans x = random_payloads(10, 100, 1, arena);
+  const Spans y = all_y_contents(p1.build.pool, x, 100, arena);
+  Spans bob_x(10);
   for (std::uint32_t i : bob_) bob_x[i] = x[i];
-  const auto bob_y = reconstruct_y(p1.build.pool, T(1), bob_x, 100);
+  const ReceiverOutput bob_y = receiver_y(p1.announcement, bob_x, 100, arena);
+  ASSERT_EQ(bob_y.error, RoundError::kNone);
   for (std::size_t j = 0; j < y.size(); ++j) {
-    ASSERT_TRUE(bob_y[j].has_value());
-    EXPECT_EQ(*bob_y[j], y[j]);
+    ASSERT_FALSE(bob_y.payloads[j].empty());
+    EXPECT_TRUE(same_bytes(bob_y.payloads[j], y[j]));
   }
 }
 
@@ -149,18 +160,22 @@ TEST_F(Paper32Example, OneZPacketRedistributesTwoSPacketsEmerge) {
   EXPECT_EQ(plan.h.rows(), 1u);  // M - L = 1 z-packet (paper: y2 + y3)
   EXPECT_EQ(plan.c.rows(), 2u);  // L = 2 s-packets
 
-  const auto y = random_payloads(3, 100, 2);
-  const auto z = make_z_payloads(plan, y, 100);
-  const auto s = make_s_payloads(plan, y, 100);
+  packet::PayloadArena arena;
+  const Spans y = random_payloads(3, 100, 2, arena);
+  const Spans z = make_z_payloads(plan, y, 100, arena);
+  const Spans s = make_s_payloads(plan, y, 100, arena);
 
   // Bob holds y1, y2; Calvin holds y1, y3; both repair and agree.
-  for (auto [known_a, known_b] : {std::pair{0, 1}, std::pair{0, 2}}) {
-    std::vector<std::optional<packet::Payload>> own(3);
-    own[static_cast<std::size_t>(known_a)] = y[static_cast<std::size_t>(known_a)];
-    own[static_cast<std::size_t>(known_b)] = y[static_cast<std::size_t>(known_b)];
-    const auto full = recover_all_y(plan, own, z, 100);
-    EXPECT_EQ(full, y);
-    EXPECT_EQ(make_s_payloads(plan, full, 100), s);
+  for (auto [known_a, known_b] : {std::pair{0u, 1u}, std::pair{0u, 2u}}) {
+    Spans own(3);
+    own[known_a] = y[known_a];
+    own[known_b] = y[known_b];
+    const Spans full = recover_all_y(plan, own, z, 100, arena);
+    const Spans own_s = make_s_payloads(plan, full, 100, arena);
+    for (std::size_t j = 0; j < y.size(); ++j)
+      EXPECT_TRUE(same_bytes(full[j], y[j]));
+    for (std::size_t j = 0; j < s.size(); ++j)
+      EXPECT_TRUE(same_bytes(own_s[j], s[j]));
   }
 
   // Eve: "knows nothing about any of the y-packets" but hears the z

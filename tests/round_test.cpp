@@ -105,16 +105,11 @@ TEST(OpenRound, ReportsAreOnTheAirAndParseable) {
 
   packet::PayloadArena arena;
   const RoundContext ctx = open_round(medium, T(0), packet::RoundId{7}, 25, 8, arena);
-  (void)ctx;
-  std::size_t reports = 0;
-  for (const net::TraceEntry& e : medium.trace().entries()) {
-    if (e.kind != packet::Kind::kReport) continue;
-    EXPECT_TRUE(e.reliable);
-    ++reports;
-  }
-  EXPECT_GE(reports, 2u);  // two receivers, at least one frame each
-  // Ledger shows control traffic for the reports.
-  EXPECT_GT(medium.ledger().bytes(net::TrafficClass::kControl), 0u);
+  // Two receivers, at least one report frame each, all control traffic.
+  EXPECT_GE(medium.ledger().frames(net::TrafficClass::kControl), 2u);
+  // Alice's table holds exactly what each receiver reported.
+  for (std::size_t ri = 0; ri < ctx.receivers.size(); ++ri)
+    EXPECT_EQ(ctx.table.received(ctx.receivers[ri]), ctx.rx_indices[ri]);
   EXPECT_EQ(medium.ledger().frames(net::TrafficClass::kData), 25u);
 }
 

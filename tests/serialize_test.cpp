@@ -39,6 +39,15 @@ TEST(Serialize, ReportRejectsTruncated) {
   }
 }
 
+TEST(Serialize, ReportRejectsUniverseThatWrapsTheBitmapSize) {
+  // ceil(N / 8) wraps to 0 in 32-bit arithmetic for N >= 0xFFFFFFF9: a
+  // 4-byte report claiming such a universe has no bitmap to read.
+  EXPECT_FALSE(decode_report(Payload{0xFF, 0xFF, 0xFF, 0xFF}).has_value());
+  EXPECT_FALSE(decode_report(Payload{0xF9, 0xFF, 0xFF, 0xFF}).has_value());
+  EXPECT_FALSE(
+      decode_report(Payload{0xFF, 0xFF, 0xFF, 0xFF, 0x01}).has_value());
+}
+
 TEST(Serialize, ReportRejectsTrailingGarbage) {
   Payload bytes = encode(ReceptionReport{16, {1}});
   bytes.push_back(0xFF);

@@ -29,6 +29,12 @@ depends on, but that no general-purpose tool knows to look for:
                         byte picking or reinterpret_cast framing bypasses
                         the validated parse that the anti-spoofing and
                         fault-tolerance arguments rest on.
+  protocol-core         The round is written once, in src/core/: code
+                        outside it (the daemon's NodeSession, any new
+                        session) runs it through core/protocol.h's Alice
+                        and receiver steps. A direct call to the phase-2
+                        building blocks outside src/core/ is a session
+                        growing its own copy of the round again.
 
 Usage:
   thinair_lint.py --compile-commands build/compile_commands.json
@@ -269,6 +275,28 @@ def rule_netd_wire_decode(code: str) -> list[Finding]:
     return findings
 
 
+_PROTOCOL_CORE_RE = re.compile(
+    r"\b(recover_all_y|make_s_payloads|make_z_payloads|plan_phase2"
+    r"|phase2_code)\s*\("
+)
+
+
+def rule_protocol_core(code: str) -> list[Finding]:
+    findings: list[Finding] = []
+    for lineno, line in enumerate(code.splitlines(), start=1):
+        m = _PROTOCOL_CORE_RE.search(line)
+        if m:
+            findings.append(
+                (
+                    lineno,
+                    f"direct call to '{m.group(1)}' outside src/core/: run "
+                    "the round through core::alice_round / "
+                    "core::receiver_round so it stays written once",
+                )
+            )
+    return findings
+
+
 class Rule:
     def __init__(self, name, check, scope, exclude=()):
         self.name = name
@@ -336,6 +364,12 @@ RULES = [
             r"^src/dist/frame\.(h|cpp)$",
             r"^src/dist/stream\.(h|cpp)$",
         ],
+    ),
+    Rule(
+        "protocol-core",
+        rule_protocol_core,
+        scope=[r"^src/"],
+        exclude=[r"^src/core/"],
     ),
 ]
 
