@@ -111,10 +111,8 @@ struct ReorderProbe {
 // block-reversed order (each kBlock-sized block back to front), so the
 // drainer must park kBlock-1 records before the block's first index
 // arrives and unblocks emission. Because the drainer pops pushes in
-// order, the pending high-water mark is exactly kBlock-1 — and the
-// blocks after the first should be served almost entirely from the
-// slab arena's free list (the previous block's nodes), which is what
-// the slab_* stats in BENCH_engine.json pin.
+// order, the pending high-water mark is exactly kBlock-1, which is what
+// peak_pending in BENCH_engine.json pins.
 ReorderProbe measure_reorder(std::size_t cases) {
   constexpr std::size_t kBlock = 4096;
   NullBuf buf;
@@ -213,11 +211,8 @@ int main(int argc, char** argv) {
 
   const ReorderProbe reorder = measure_reorder(opt.cases);
   std::printf(
-      "reorder probe (block %zu): %12.0f cases/s, peak pending %zu, "
-      "slab %zu chunk(s) / %zu KiB, %zu acquires, %zu freelist hits\n",
-      reorder.block, reorder.cases_per_s, reorder.stats.peak_pending,
-      reorder.stats.slab.chunks, reorder.stats.slab.reserved_bytes / 1024,
-      reorder.stats.slab.acquires, reorder.stats.slab.freelist_hits);
+      "reorder probe (block %zu): %12.0f cases/s, peak pending %zu\n",
+      reorder.block, reorder.cases_per_s, reorder.stats.peak_pending);
 
   std::vector<double> cases_per_s(thread_counts.size(), 0.0);
   for (std::size_t k = 0; k < thread_counts.size(); ++k) {
@@ -258,17 +253,11 @@ int main(int argc, char** argv) {
                "    \"block\": %zu,\n"
                "    \"cases\": %zu,\n"
                "    \"cases_per_s\": %.1f,\n"
-               "    \"peak_pending\": %zu,\n"
-               "    \"slab_chunks\": %zu,\n"
-               "    \"slab_reserved_bytes\": %zu,\n"
-               "    \"slab_acquires\": %zu,\n"
-               "    \"slab_freelist_hits\": %zu\n"
+               "    \"peak_pending\": %zu\n"
                "  }\n"
                "}\n",
                speedup, reorder.block, reorder.cases, reorder.cases_per_s,
-               reorder.stats.peak_pending, reorder.stats.slab.chunks,
-               reorder.stats.slab.reserved_bytes, reorder.stats.slab.acquires,
-               reorder.stats.slab.freelist_hits);
+               reorder.stats.peak_pending);
   std::fclose(f);
   std::printf("wrote %s\n", path);
   return 0;

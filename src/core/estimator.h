@@ -94,10 +94,6 @@ class KSubsetEstimator final : public EveBoundEstimator {
   std::size_t k_;
 };
 
-/// The paper's main strategy: pretend each single other terminal is Eve.
-[[nodiscard]] std::unique_ptr<EveBoundEstimator> make_leave_one_out(
-    const ReceptionTable& table);
-
 /// Empirical fraction bound: measure each pretend-Eve's overall miss rate,
 /// take the most pessimistic (smallest) one, derate it by a safety factor,
 /// and apply it to any queried set:

@@ -30,7 +30,6 @@ Phase2Plan plan_phase2(const YPool& pool) {
 
 Phase2Plan plan_phase2(std::size_t pool_size, std::size_t group_size) {
   Phase2Plan plan = phase2_code(pool_size, group_size);
-  plan.z_announcement = announcement_from(plan.h);
   plan.s_announcement = announcement_from(plan.c);
   return plan;
 }

@@ -34,7 +34,6 @@ struct Phase2Plan {
   std::size_t group_size = 0;  // L
   gf::Matrix h;                // (M - L) x M: z-packet combinations over y
   gf::Matrix c;                // L x M:       s-packet combinations over y
-  packet::Announcement z_announcement;  // identities of the z combinations
   packet::Announcement s_announcement;  // identities of the s combinations
 };
 

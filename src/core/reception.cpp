@@ -57,16 +57,6 @@ std::size_t ReceptionTable::received_count(packet::NodeId t) const {
   return count;
 }
 
-std::size_t ReceptionTable::missed_by(packet::NodeId a,
-                                      packet::NodeId b) const {
-  const auto& ba = bitmaps_[receiver_index(a)];
-  const auto& bb = bitmaps_[receiver_index(b)];
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < ba.size(); ++w)
-    count += static_cast<std::size_t>(std::popcount(ba[w] & ~bb[w]));
-  return count;
-}
-
 std::vector<ReceptionTable::Class> ReceptionTable::classes() const {
   std::map<std::uint64_t, std::vector<std::uint32_t>> by_mask;
   for (std::uint32_t i = 0; i < universe_; ++i) {

@@ -37,11 +37,6 @@ class ReceptionTable {
   [[nodiscard]] std::vector<std::uint32_t> received(packet::NodeId t) const;
   [[nodiscard]] std::size_t received_count(packet::NodeId t) const;
 
-  /// |received(a) \ received(b)|: packets a got that b missed — the paper's
-  /// "pretend Tb is Eve" quantity (Sec. 3.3).
-  [[nodiscard]] std::size_t missed_by(packet::NodeId a,
-                                      packet::NodeId b) const;
-
   /// One reception class: the x-indices received by exactly the receiver
   /// set `members` (Alice implicitly knows them all).
   struct Class {

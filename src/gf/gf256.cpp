@@ -11,7 +11,7 @@ std::ostream& operator<<(std::ostream& os, GF256 v) {
 }
 
 // The bulk span primitives dispatch through the retargetable kernel layer
-// (gf/kernels.h): scalar log/exp, portable 64-bit SWAR, or pshufb SIMD,
+// (gf/kernels.h): scalar log/exp, AVX2 vpshufb, or GFNI+AVX-512,
 // chosen at runtime. All kernels compute identical bytes.
 
 void axpy(GF256 c, const std::uint8_t* x, std::uint8_t* y, std::size_t n) {

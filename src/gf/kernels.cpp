@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -23,8 +21,8 @@ using detail::kTables;
 
 // ------------------------------------------------------------- scalar
 // The original byte-at-a-time log/exp loops (moved here from gf256.cpp).
-// Baseline for the differential tests and the portable fallback for the
-// word kernels' tails.
+// Baseline for the differential tests, the fallback on CPUs without
+// AVX2, and the tail loop of the AVX2 kernel.
 
 void scalar_axpy(std::uint8_t c, const std::uint8_t* x, std::uint8_t* y,
                  std::size_t n) {
@@ -78,7 +76,7 @@ void scalar_dot_multi(const std::uint8_t* c, std::size_t k,
 }
 
 // Drops c == 0 rows from a fused block; returns the compacted row count.
-// The word kernels pay per-row table setup and per-word work, so skipping
+// The SIMD kernels pay per-row table setup and per-vector work, so skipping
 // dead rows up front is worth the pass.
 std::size_t compact_rows(const std::uint8_t* c, std::size_t k,
                          std::uint8_t* const* ys, std::uint8_t* cc,
@@ -107,145 +105,15 @@ std::size_t compact_inputs(const std::uint8_t* c, std::size_t k,
   return m;
 }
 
-// ----------------------------------------------------------- portable
-// 64-bit SWAR: eight field elements per machine word, bit-sliced over the
-// *input* bits. Multiplication by c is GF(2)-linear, so
-//   c * x = XOR over set bits k of x of (c * alpha^k)
-// and the eight per-bit contributions c * alpha^k are computed once per
-// call with a scalar xtime ladder (0x1D is the low byte of the primitive
-// polynomial 0x11D). Per word the loop is branch-free: isolate bit k of
-// every lane ((v >> k) & 0x01...), multiply by the contribution byte
-// (0x01 * t = t, no cross-lane carries), accumulate with XOR.
-
-struct BitTable {
-  std::uint8_t t[8];  // t[k] = c * alpha^k
-};
-
-inline BitTable make_bit_table(std::uint8_t c) {
-  BitTable bt;
-  std::uint8_t t = c;
-  for (int k = 0; k < 8; ++k) {
-    bt.t[k] = t;
-    t = static_cast<std::uint8_t>((t << 1) ^ ((t & 0x80) != 0 ? 0x1D : 0));
-  }
-  return bt;
-}
-
-inline std::uint64_t mul64(std::uint64_t v, const BitTable& bt) {
-  constexpr std::uint64_t kLsb = 0x0101010101010101ull;
-  std::uint64_t acc = 0;
-  for (int k = 0; k < 8; ++k) acc ^= ((v >> k) & kLsb) * bt.t[k];
-  return acc;
-}
-
-inline std::uint64_t load64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store64(std::uint8_t* p, std::uint64_t v) {
-  std::memcpy(p, &v, sizeof(v));
-}
-
-void portable_axpy(std::uint8_t c, const std::uint8_t* x, std::uint8_t* y,
-                   std::size_t n) {
-  if (c == 0) return;
-  std::size_t i = 0;
-  if (c == 1) {
-    for (; i + 8 <= n; i += 8) store64(y + i, load64(y + i) ^ load64(x + i));
-  } else {
-    const BitTable bt = make_bit_table(c);
-    for (; i + 8 <= n; i += 8)
-      store64(y + i, load64(y + i) ^ mul64(load64(x + i), bt));
-  }
-  scalar_axpy(c, x + i, y + i, n - i);
-}
-
-void portable_mul_row(std::uint8_t c, const std::uint8_t* x, std::uint8_t* y,
-                      std::size_t n) {
-  if (c == 0) {
-    std::memset(y, 0, n);
-    return;
-  }
-  if (c == 1) {
-    if (x != y) std::memmove(y, x, n);
-    return;
-  }
-  const BitTable bt = make_bit_table(c);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) store64(y + i, mul64(load64(x + i), bt));
-  scalar_mul_row(c, x + i, y + i, n - i);
-}
-
-void portable_xor_into(const std::uint8_t* x, std::uint8_t* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) store64(y + i, load64(y + i) ^ load64(x + i));
-  for (; i < n; ++i) y[i] ^= x[i];
-}
-
-// Fused SWAR accumulate: one bit table per live row, each input word
-// loaded once and scattered into every output row.
-void portable_mad_multi(const std::uint8_t* c, std::size_t k,
-                        const std::uint8_t* x, std::uint8_t* const* ys,
-                        std::size_t n) {
-  for (std::size_t r0 = 0; r0 < k; r0 += kMaxFusedRows) {
-    const std::size_t kb = std::min(kMaxFusedRows, k - r0);
-    std::uint8_t cc[kMaxFusedRows];
-    std::uint8_t* yr[kMaxFusedRows];
-    const std::size_t m = compact_rows(c + r0, kb, ys + r0, cc, yr);
-    if (m == 0) continue;
-    BitTable bt[kMaxFusedRows];
-    for (std::size_t r = 0; r < m; ++r) bt[r] = make_bit_table(cc[r]);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const std::uint64_t v = load64(x + i);
-      for (std::size_t r = 0; r < m; ++r)
-        store64(yr[r] + i, load64(yr[r] + i) ^ mul64(v, bt[r]));
-    }
-    for (std::size_t r = 0; r < m; ++r)
-      scalar_axpy(cc[r], x + i, yr[r] + i, n - i);
-  }
-}
-
-// Fused SWAR gather: one bit table per live input, the accumulator word
-// loaded and stored once per kMaxFusedRows inputs.
-void portable_dot_multi(const std::uint8_t* c, std::size_t k,
-                        const std::uint8_t* const* xs, std::uint8_t* y,
-                        std::size_t n) {
-  for (std::size_t r0 = 0; r0 < k; r0 += kMaxFusedRows) {
-    const std::size_t kb = std::min(kMaxFusedRows, k - r0);
-    std::uint8_t cc[kMaxFusedRows];
-    const std::uint8_t* xr[kMaxFusedRows];
-    const std::size_t m = compact_inputs(c + r0, kb, xs + r0, cc, xr);
-    if (m == 0) continue;
-    BitTable bt[kMaxFusedRows];
-    for (std::size_t r = 0; r < m; ++r) bt[r] = make_bit_table(cc[r]);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      std::uint64_t acc = load64(y + i);
-      for (std::size_t r = 0; r < m; ++r)
-        acc ^= mul64(load64(xr[r] + i), bt[r]);
-      store64(y + i, acc);
-    }
-    for (std::size_t r = 0; r < m; ++r)
-      scalar_axpy(cc[r], xr[r] + i, y + i, n - i);
-  }
-}
-
 constexpr Kernel kScalar{"scalar", scalar_axpy, scalar_mul_row,
                          scalar_xor_into, scalar_mad_multi,
                          scalar_dot_multi};
-constexpr Kernel kPortable{"portable", portable_axpy, portable_mul_row,
-                           portable_xor_into, portable_mad_multi,
-                           portable_dot_multi};
 
 // --------------------------------------------------------------- SIMD
 // ISA-L-style split-nibble tables: for every constant c two 16-entry
 // tables give c * low_nibble and c * (high_nibble << 4); the product of a
 // full byte is their XOR (multiplication by c is linear over GF(2)).
-// `pshufb` performs 16 (SSSE3) or 2 x 16 (AVX2) of those lookups per
-// instruction.
+// AVX2 `vpshufb` performs 2 x 16 of those lookups per instruction.
 
 #ifdef THINAIR_GF_X86_SIMD
 
@@ -269,72 +137,6 @@ consteval NibbleTables make_nibble_tables() {
 }
 
 constexpr NibbleTables kNibble = make_nibble_tables();
-
-__attribute__((target("ssse3"))) inline __m128i mul16(__m128i v, __m128i lo,
-                                                      __m128i hi,
-                                                      __m128i mask) {
-  const __m128i l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-  const __m128i h =
-      _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), mask));
-  return _mm_xor_si128(l, h);
-}
-
-__attribute__((target("ssse3"))) void ssse3_axpy(std::uint8_t c,
-                                                 const std::uint8_t* x,
-                                                 std::uint8_t* y,
-                                                 std::size_t n) {
-  if (c == 0) return;
-  const __m128i lo =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[c]));
-  const __m128i hi =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[c]));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i o = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i),
-                     _mm_xor_si128(o, mul16(v, lo, hi, mask)));
-  }
-  scalar_axpy(c, x + i, y + i, n - i);
-}
-
-__attribute__((target("ssse3"))) void ssse3_mul_row(std::uint8_t c,
-                                                    const std::uint8_t* x,
-                                                    std::uint8_t* y,
-                                                    std::size_t n) {
-  if (c == 0) {
-    std::memset(y, 0, n);
-    return;
-  }
-  const __m128i lo =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[c]));
-  const __m128i hi =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[c]));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i),
-                     mul16(v, lo, hi, mask));
-  }
-  scalar_mul_row(c, x + i, y + i, n - i);
-}
-
-__attribute__((target("ssse3"))) void ssse3_xor_into(const std::uint8_t* x,
-                                                     std::uint8_t* y,
-                                                     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i o = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i), _mm_xor_si128(o, v));
-  }
-  portable_xor_into(x + i, y + i, n - i);
-}
 
 __attribute__((target("avx2"))) inline __m256i mul32(__m256i v, __m256i lo,
                                                      __m256i hi,
@@ -364,7 +166,7 @@ __attribute__((target("avx2"))) void avx2_axpy(std::uint8_t c,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i),
                         _mm256_xor_si256(o, mul32(v, lo, hi, mask)));
   }
-  ssse3_axpy(c, x + i, y + i, n - i);
+  scalar_axpy(c, x + i, y + i, n - i);
 }
 
 __attribute__((target("avx2"))) void avx2_mul_row(std::uint8_t c,
@@ -387,7 +189,7 @@ __attribute__((target("avx2"))) void avx2_mul_row(std::uint8_t c,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i),
                         mul32(v, lo, hi, mask));
   }
-  ssse3_mul_row(c, x + i, y + i, n - i);
+  scalar_mul_row(c, x + i, y + i, n - i);
 }
 
 __attribute__((target("avx2"))) void avx2_xor_into(const std::uint8_t* x,
@@ -402,7 +204,7 @@ __attribute__((target("avx2"))) void avx2_xor_into(const std::uint8_t* x,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i),
                         _mm256_xor_si256(o, v));
   }
-  ssse3_xor_into(x + i, y + i, n - i);
+  scalar_xor_into(x + i, y + i, n - i);
 }
 
 // Fused split-nibble accumulate. The live-row count is a template
@@ -412,38 +214,6 @@ __attribute__((target("avx2"))) void avx2_xor_into(const std::uint8_t* x,
 // input vector: the x load and the two nibble extractions. Work per row:
 // two pshufb, two xor and the y load/store — the structure of ISA-L's
 // gf_Nvect_mad family.
-
-template <std::size_t M>
-__attribute__((target("ssse3"))) void ssse3_mad_rows(const std::uint8_t* cc,
-                                                     const std::uint8_t* x,
-                                                     std::uint8_t* const* yr,
-                                                     std::size_t n) {
-  __m128i lo[M], hi[M];
-  for (std::size_t r = 0; r < M; ++r) {
-    lo[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[cc[r]]));
-    hi[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[cc[r]]));
-  }
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i vl = _mm_and_si128(v, mask);
-    const __m128i vh = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m128i o =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(yr[r] + i));
-      const __m128i p = _mm_xor_si128(_mm_shuffle_epi8(lo[r], vl),
-                                      _mm_shuffle_epi8(hi[r], vh));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(yr[r] + i),
-                       _mm_xor_si128(o, p));
-    }
-  }
-  for (std::size_t r = 0; r < M; ++r)
-    scalar_axpy(cc[r], x + i, yr[r] + i, n - i);
-}
 
 template <std::size_t M>
 __attribute__((target("avx2"))) void avx2_mad_rows(const std::uint8_t* cc,
@@ -501,12 +271,8 @@ __attribute__((target("avx2"))) void avx2_mad_rows(const std::uint8_t* cc,
                           _mm256_xor_si256(o, p));
     }
   }
-  if (i < n) {
-    // 16-byte step plus scalar tail via the SSSE3 row kernel.
-    std::uint8_t* tail[M];
-    for (std::size_t r = 0; r < M; ++r) tail[r] = yr[r] + i;
-    ssse3_mad_rows<M>(cc, x + i, tail, n - i);
-  }
+  for (std::size_t r = 0; r < M; ++r)
+    scalar_axpy(cc[r], x + i, yr[r] + i, n - i);
 }
 
 // Fused split-nibble gather, the mirror of the *_mad_rows family above
@@ -515,32 +281,6 @@ __attribute__((target("avx2"))) void avx2_mad_rows(const std::uint8_t* cc,
 // accumulator vector is loaded and stored once per pass, and every input
 // vector costs two pshufb + two xor — the structure of ISA-L's
 // gf_vect_dot_prod family.
-
-template <std::size_t M>
-__attribute__((target("ssse3"))) void ssse3_dot_rows(
-    const std::uint8_t* cc, const std::uint8_t* const* xr, std::uint8_t* y,
-    std::size_t n) {
-  __m128i lo[M], hi[M];
-  for (std::size_t r = 0; r < M; ++r) {
-    lo[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.lo[cc[r]]));
-    hi[r] =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(kNibble.hi[cc[r]]));
-  }
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i acc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i));
-    for (std::size_t r = 0; r < M; ++r) {
-      const __m128i v =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr[r] + i));
-      acc = _mm_xor_si128(acc, mul16(v, lo[r], hi[r], mask));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i), acc);
-  }
-  for (std::size_t r = 0; r < M; ++r)
-    scalar_axpy(cc[r], xr[r] + i, y + i, n - i);
-}
 
 template <std::size_t M>
 __attribute__((target("avx2"))) void avx2_dot_rows(const std::uint8_t* cc,
@@ -584,12 +324,8 @@ __attribute__((target("avx2"))) void avx2_dot_rows(const std::uint8_t* cc,
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i), acc);
   }
-  if (i < n) {
-    // 16-byte step plus scalar tail via the SSSE3 row kernel.
-    const std::uint8_t* tail[M];
-    for (std::size_t r = 0; r < M; ++r) tail[r] = xr[r] + i;
-    ssse3_dot_rows<M>(cc, tail, y + i, n - i);
-  }
+  for (std::size_t r = 0; r < M; ++r)
+    scalar_axpy(cc[r], xr[r] + i, y + i, n - i);
 }
 
 using MadRowsFn = void (*)(const std::uint8_t*, const std::uint8_t*,
@@ -631,20 +367,6 @@ void tiled_dot_multi(const DotRowsFn* rows_fns, const std::uint8_t* c,
 // round). Repeated axpy is byte-equivalent by contract, so fall back.
 constexpr std::size_t kPshufbFusedMinBytes = 512;
 
-void ssse3_mad_multi(const std::uint8_t* c, std::size_t k,
-                     const std::uint8_t* x, std::uint8_t* const* ys,
-                     std::size_t n) {
-  if (n < kPshufbFusedMinBytes) {
-    for (std::size_t r = 0; r < k; ++r) ssse3_axpy(c[r], x, ys[r], n);
-    return;
-  }
-  static constexpr MadRowsFn kRows[kMaxFusedRows] = {
-      ssse3_mad_rows<1>, ssse3_mad_rows<2>, ssse3_mad_rows<3>,
-      ssse3_mad_rows<4>, ssse3_mad_rows<5>, ssse3_mad_rows<6>,
-      ssse3_mad_rows<7>, ssse3_mad_rows<8>};
-  tiled_mad_multi(kRows, c, k, x, ys, n);
-}
-
 void avx2_mad_multi(const std::uint8_t* c, std::size_t k,
                     const std::uint8_t* x, std::uint8_t* const* ys,
                     std::size_t n) {
@@ -661,20 +383,6 @@ void avx2_mad_multi(const std::uint8_t* c, std::size_t k,
 
 // The gather direction shares mad_multi's small-payload policy: below
 // ~half a KiB the 2*M nibble tables spill and repeated axpy wins.
-void ssse3_dot_multi(const std::uint8_t* c, std::size_t k,
-                     const std::uint8_t* const* xs, std::uint8_t* y,
-                     std::size_t n) {
-  if (n < kPshufbFusedMinBytes) {
-    for (std::size_t r = 0; r < k; ++r) ssse3_axpy(c[r], xs[r], y, n);
-    return;
-  }
-  static constexpr DotRowsFn kRows[kMaxFusedRows] = {
-      ssse3_dot_rows<1>, ssse3_dot_rows<2>, ssse3_dot_rows<3>,
-      ssse3_dot_rows<4>, ssse3_dot_rows<5>, ssse3_dot_rows<6>,
-      ssse3_dot_rows<7>, ssse3_dot_rows<8>};
-  tiled_dot_multi(kRows, c, k, xs, y, n);
-}
-
 void avx2_dot_multi(const std::uint8_t* c, std::size_t k,
                     const std::uint8_t* const* xs, std::uint8_t* y,
                     std::size_t n) {
@@ -689,8 +397,6 @@ void avx2_dot_multi(const std::uint8_t* c, std::size_t k,
   tiled_dot_multi(kRows, c, k, xs, y, n);
 }
 
-constexpr Kernel kSsse3{"ssse3", ssse3_axpy, ssse3_mul_row, ssse3_xor_into,
-                        ssse3_mad_multi, ssse3_dot_multi};
 constexpr Kernel kAvx2{"avx2", avx2_axpy, avx2_mul_row, avx2_xor_into,
                        avx2_mad_multi, avx2_dot_multi};
 
@@ -916,7 +622,6 @@ void gfni_dot_multi(const std::uint8_t* c, std::size_t k,
 constexpr Kernel kGfni{"gfni", gfni_axpy, gfni_mul_row, gfni_xor_into,
                        gfni_mad_multi, gfni_dot_multi};
 
-bool cpu_has_ssse3() { return __builtin_cpu_supports("ssse3") != 0; }
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 bool cpu_has_gfni_avx512() {
   return __builtin_cpu_supports("gfni") != 0 &&
@@ -931,9 +636,8 @@ bool cpu_has_gfni_avx512() {
 
 const std::vector<const Kernel*>& kernel_list() {
   static const std::vector<const Kernel*> kernels = [] {
-    std::vector<const Kernel*> v{&kScalar, &kPortable};
+    std::vector<const Kernel*> v{&kScalar};
 #ifdef THINAIR_GF_X86_SIMD
-    if (cpu_has_ssse3()) v.push_back(&kSsse3);
     if (cpu_has_avx2()) v.push_back(&kAvx2);
     if (cpu_has_gfni_avx512()) v.push_back(&kGfni);
 #endif
@@ -948,22 +652,9 @@ const Kernel* find_kernel(std::string_view name) {
   return nullptr;
 }
 
-const Kernel* best_kernel() {
-  const Kernel* s = simd_kernel();
-  return s != nullptr ? s : &kPortable;
-}
-
-const Kernel* resolve_default() {
-  if (const char* env = std::getenv("THINAIR_GF_KERNEL");
-      env != nullptr && *env != '\0' && std::string_view(env) != "auto") {
-    if (const Kernel* k = find_kernel(env)) return k;
-    std::fprintf(stderr,
-                 "thinair: THINAIR_GF_KERNEL=%s is unknown or unsupported "
-                 "on this CPU; using %s\n",
-                 env, best_kernel()->name);
-  }
-  return best_kernel();
-}
+// The fastest kernel this CPU runs: the registry is ordered slowest
+// first, so it is the last entry.
+const Kernel* best_kernel() { return kernel_list().back(); }
 
 // The dispatch singleton. Everything reachable from it is immutable
 // after first use — the kernel vtables are constinit-style statics and
@@ -975,23 +666,13 @@ const Kernel* resolve_default() {
 // allocation rules assume when they exempt this file; the thread-safety
 // contract is documented on set_active_kernel() in the header.
 std::atomic<const Kernel*>& active_slot() {
-  static std::atomic<const Kernel*> slot{resolve_default()};
+  static std::atomic<const Kernel*> slot{best_kernel()};
   return slot;
 }
 
 }  // namespace
 
 const Kernel& scalar_kernel() { return kScalar; }
-const Kernel& portable_kernel() { return kPortable; }
-
-const Kernel* simd_kernel() {
-#ifdef THINAIR_GF_X86_SIMD
-  if (cpu_has_gfni_avx512()) return &kGfni;
-  if (cpu_has_avx2()) return &kAvx2;
-  if (cpu_has_ssse3()) return &kSsse3;
-#endif
-  return nullptr;
-}
 
 std::span<const Kernel* const> all_kernels() { return kernel_list(); }
 

@@ -19,14 +19,14 @@
 //                                    reconstruct/repair/analysis side)
 //
 // This header exposes them as a small vtable so the hot loops can be
-// retargeted at runtime: a scalar log/exp baseline, a portable 64-bit
-// SWAR (bit-sliced xtime) kernel, SSSE3/AVX2 `pshufb` split-nibble
-// kernels in the style of ISA-L's Reed-Solomon routines, and a
-// GFNI+AVX-512 kernel (`gf2p8affineqb`: a full GF(2^8) multiply per byte
-// lane from one 8x8 bit matrix per coefficient). The active kernel is
-// chosen once by CPUID dispatch and can be overridden — for testing and
-// for the cross-kernel determinism checks — with the THINAIR_GF_KERNEL
-// environment variable or set_active_kernel().
+// retargeted at runtime: a scalar log/exp baseline (the differential
+// oracle and the fallback on CPUs without AVX2), an AVX2 `vpshufb`
+// split-nibble kernel in the style of ISA-L's Reed-Solomon routines, and
+// a GFNI+AVX-512 kernel (`gf2p8affineqb`: a full GF(2^8) multiply per
+// byte lane from one 8x8 bit matrix per coefficient). The active kernel
+// is chosen once by CPUID dispatch and can be overridden — for testing
+// and for the cross-kernel determinism checks — with set_active_kernel()
+// (the CLI's --kernel).
 //
 // Contract: all kernels compute the exact same field arithmetic, so their
 // output bytes are identical for identical inputs (GF(2^8) is exact —
@@ -55,7 +55,7 @@ inline constexpr std::size_t kMaxFusedRows = 8;
 
 /// One retargetable implementation of the bulk primitives.
 struct Kernel {
-  const char* name;  // "scalar" | "portable" | "ssse3" | "avx2" | "gfni"
+  const char* name;  // "scalar" | "avx2" | "gfni"
   void (*axpy)(std::uint8_t c, const std::uint8_t* x, std::uint8_t* y,
                std::size_t n);
   void (*mul_row)(std::uint8_t c, const std::uint8_t* x, std::uint8_t* y,
@@ -79,23 +79,16 @@ struct Kernel {
 /// The byte-at-a-time log/exp baseline (always available).
 [[nodiscard]] const Kernel& scalar_kernel();
 
-/// Portable 64-bit SWAR kernel: eight bytes per step via a bit-sliced
-/// xtime ladder (always available).
-[[nodiscard]] const Kernel& portable_kernel();
-
-/// Best SIMD kernel this CPU supports (GFNI+AVX-512 > AVX2 > SSSE3), or
-/// nullptr when the build/CPU has none.
-[[nodiscard]] const Kernel* simd_kernel();
-
-/// Every kernel usable on this machine, scalar first.
+/// Every kernel usable on this machine: scalar, then whichever of avx2
+/// and gfni the CPU supports, slowest first.
 [[nodiscard]] std::span<const Kernel* const> all_kernels();
 
-/// The kernel behind gf::axpy / gf::mul_row / gf::xor_into. Resolution
-/// order: set_active_kernel() override, then THINAIR_GF_KERNEL, then the
-/// best CPUID-supported kernel.
+/// The kernel behind gf::axpy / gf::mul_row / gf::xor_into: the
+/// set_active_kernel() override, else the last entry of all_kernels().
 [[nodiscard]] const Kernel& active_kernel();
 
-/// Select by name ("auto" restores CPUID dispatch). Returns false — and
+/// Select by name ("auto" restores CPUID dispatch, the last entry of
+/// all_kernels()). Returns false — and
 /// leaves the selection unchanged — when the name is unknown or names a
 /// kernel this CPU cannot run. Thread-safe (the selection is one relaxed
 /// atomic slot; kernel tables themselves are immutable after init), but

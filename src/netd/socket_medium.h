@@ -60,8 +60,6 @@ class HubBackedMedium : public net::Medium {
   [[nodiscard]] const std::vector<std::uint16_t>& mask_order() const {
     return mask_order_;
   }
-  [[nodiscard]] bool joined() const { return joined_; }
-  void mark_joined() { joined_ = true; }
 
   [[nodiscard]] std::vector<std::uint8_t> make_attach(std::uint16_t node,
                                                       bool eve) const;

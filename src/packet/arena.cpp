@@ -83,15 +83,17 @@ ByteSpan PayloadArena::copy(ConstByteSpan src) {
 }
 
 void PayloadArena::reset() {
-  // allocated_ is this epoch's peak (rewind never lowers it). Raise the
-  // watermark to it immediately, but let it *decay* geometrically when
-  // epochs shrink: after a handful of small epochs the watermark — and
-  // with it the retained capacity under trim_to_watermark() — converges
-  // back down instead of remembering one pathological epoch forever.
-  watermark_ = std::max(allocated_, watermark_ - watermark_ / 4);
+  // Raise the watermark to this epoch's peak immediately, but let it
+  // *decay* geometrically when epochs shrink: after a handful of small
+  // epochs the watermark — and with it the retained capacity under
+  // trim_to_watermark() — converges back down instead of remembering one
+  // pathological epoch forever.
+  const std::size_t peak = std::max(peak_, allocated_);
+  watermark_ = std::max(peak, watermark_ - watermark_ / 4);
   cursor_ = 0;
   offset_ = 0;
   allocated_ = 0;
+  peak_ = 0;
 }
 
 std::size_t PayloadArena::trim(std::size_t max_retained_bytes) {
@@ -119,11 +121,12 @@ std::size_t PayloadArena::trim_to_watermark() {
 }
 
 void PayloadArena::rewind(Mark m) {
+  // Fold the scratch being dropped into the epoch's peak before the live
+  // count falls back to the mark's.
+  peak_ = std::max(peak_, allocated_);
   cursor_ = m.block;
   offset_ = m.offset;
-  // bytes_allocated() is a monotone counter within a reset epoch; rewind
-  // is about reclaiming space, not accounting, so leave it as the
-  // high-water count of this epoch.
+  allocated_ = m.allocated;
 }
 
 std::size_t PayloadArena::capacity() const {

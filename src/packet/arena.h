@@ -80,15 +80,18 @@ class PayloadArena {
   struct Mark {
     std::size_t block = 0;
     std::size_t offset = 0;
+    std::size_t allocated = 0;
   };
-  [[nodiscard]] Mark mark() const { return {cursor_, offset_}; }
+  [[nodiscard]] Mark mark() const { return {cursor_, offset_, allocated_}; }
   void rewind(Mark m);
 
-  /// Live bytes since the last reset (excluding alignment padding).
+  /// Live bytes since the last reset (excluding alignment padding);
+  /// rewind() lowers it back to the mark's count.
   [[nodiscard]] std::size_t bytes_allocated() const { return allocated_; }
   /// Total backing storage held.
   [[nodiscard]] std::size_t capacity() const;
-  /// Decaying per-epoch peak of bytes_allocated(): bumped to the epoch's
+  /// Decaying per-epoch peak of bytes_allocated() (the peak, not the sum
+  /// of rewound scratch): bumped to the epoch's
   /// peak at every reset(), decaying by a quarter when epochs shrink —
   /// so it tracks the recent steady state, not the all-time spike.
   [[nodiscard]] std::size_t high_watermark() const { return watermark_; }
@@ -108,6 +111,7 @@ class PayloadArena {
   std::size_t cursor_ = 0;  // index of the block being bumped
   std::size_t offset_ = 0;  // bump position within blocks_[cursor_]
   std::size_t allocated_ = 0;
+  std::size_t peak_ = 0;        // this epoch's peak of allocated_ so far
   std::size_t watermark_ = 0;   // decaying per-epoch peak (see reset())
   std::uint64_t trimmed_ = 0;   // cumulative bytes released by trims
 };

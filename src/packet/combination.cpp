@@ -11,12 +11,6 @@ ConstByteSpan Combination::apply(std::span<const ConstByteSpan> inputs,
                                  std::size_t payload_size,
                                  PayloadArena& arena) const {
   ByteSpan out = arena.alloc(payload_size);
-  apply_into(inputs, out);
-  return out;
-}
-
-void Combination::apply_into(std::span<const ConstByteSpan> inputs,
-                             ByteSpan out) const {
   if (out.empty()) {
     // Zero-length payloads carry no bytes to combine; return before any
     // in.data() is formed (an empty vector's data() may be null). The
@@ -25,7 +19,7 @@ void Combination::apply_into(std::span<const ConstByteSpan> inputs,
     for ([[maybe_unused]] const Term& t : terms_)
       assert(t.index < inputs.size() &&
              "Combination term index out of range");
-    return;
+    return out;
   }
   // Fused on the gather side: the terms batch through gf::DotBatch so the
   // output payload is loaded/stored once per block of gf::kMaxFusedRows
@@ -40,17 +34,7 @@ void Combination::apply_into(std::span<const ConstByteSpan> inputs,
     batch.add(t.coeff.value(), in.data());
   }
   batch.flush();
-}
-
-std::vector<std::uint8_t> Combination::dense_row(std::size_t universe) const {
-  std::vector<std::uint8_t> row(universe, 0);
-  for (const Term& t : terms_) {
-    if (t.index >= universe)
-      throw std::out_of_range("Combination::dense_row: index out of range");
-    row[t.index] = static_cast<std::uint8_t>(row[t.index] ^
-                                             t.coeff.value());  // accumulate
-  }
-  return row;
+  return out;
 }
 
 }  // namespace thinair::packet

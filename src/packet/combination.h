@@ -48,15 +48,6 @@ class Combination {
                                     std::size_t payload_size,
                                     PayloadArena& arena) const;
 
-  /// Accumulating core: out += sum of coeff * inputs[index] over every
-  /// term, where each referenced input must have out.size() bytes. A
-  /// zero-length `out` is a no-op — empty inputs are never dereferenced.
-  void apply_into(std::span<const ConstByteSpan> inputs, ByteSpan out) const;
-
-  /// Dense coefficient row of width `universe` (index -> coefficient),
-  /// used by the secrecy analysis.
-  [[nodiscard]] std::vector<std::uint8_t> dense_row(std::size_t universe) const;
-
   /// Bytes this descriptor occupies inside an announcement: 2-byte count +
   /// 4-byte index + 1-byte coefficient per term (mirrors serialize.h).
   [[nodiscard]] std::size_t serialized_size() const {

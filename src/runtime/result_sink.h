@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "runtime/scenario.h"
-#include "runtime/slab_alloc.h"
 #include "runtime/spsc_ring.h"
 #include "util/mutex.h"
 #include "util/stats.h"
@@ -108,12 +107,8 @@ class ResultSink {
 
   struct ReorderStats {
     /// High-water mark of out-of-order records parked in the reorder
-    /// buffer — the actual memory the slab arena has to cover.
+    /// buffer.
     std::size_t peak_pending = 0;
-    /// Node allocation behaviour of the buffer's slab arena. After a
-    /// warm-up window, freelist_hits should track acquires: churn
-    /// recycles blocks instead of growing chunks.
-    SlabArena::Stats slab;
   };
 
   /// Reorder-buffer instrumentation (bench/micro_engine reports it into
@@ -121,7 +116,7 @@ class ResultSink {
   /// ownership rule as summaries().
   [[nodiscard]] ReorderStats reorder_stats() const {
     util::RoleLock role(&drainer_role_);
-    return ReorderStats{peak_pending_, pending_arena_.stats()};
+    return ReorderStats{peak_pending_};
   }
 
  private:
@@ -166,17 +161,9 @@ class ResultSink {
   // join is the happens-before edge; the role makes the ownership split
   // a compile-time property instead of a comment). Any access outside a
   // region holding the role fails -Wthread-safety.
-  using PendingAlloc = SlabAllocator<std::pair<const std::size_t, Record>>;
-  using PendingMap =
-      std::map<std::size_t, Record, std::less<std::size_t>, PendingAlloc>;
-
   util::Role drainer_role_;
   std::size_t next_emit_ THINAIR_GUARDED_BY(drainer_role_) = 0;
-  // Arena before map: map nodes live in the arena's chunks, so the map
-  // must be destroyed (and must release every node) first.
-  SlabArena pending_arena_ THINAIR_GUARDED_BY(drainer_role_);
-  PendingMap pending_ THINAIR_GUARDED_BY(drainer_role_){
-      PendingAlloc(&pending_arena_)};
+  std::map<std::size_t, Record> pending_ THINAIR_GUARDED_BY(drainer_role_);
   std::size_t peak_pending_ THINAIR_GUARDED_BY(drainer_role_) = 0;
   std::vector<GroupSummary> groups_ THINAIR_GUARDED_BY(drainer_role_);
   std::string buffer_ THINAIR_GUARDED_BY(drainer_role_);

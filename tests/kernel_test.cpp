@@ -13,6 +13,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,15 +40,26 @@ struct KernelGuard {
   ~KernelGuard() { std::ignore = gf::set_active_kernel("auto"); }
 };
 
-TEST(Kernels, RegistryHasScalarAndPortable) {
-  ASSERT_GE(gf::all_kernels().size(), 2u);
-  EXPECT_STREQ(gf::all_kernels()[0]->name, "scalar");
-  EXPECT_STREQ(gf::all_kernels()[1]->name, "portable");
-  EXPECT_FALSE(gf::set_active_kernel("no-such-kernel"));
-  EXPECT_TRUE(gf::set_active_kernel("scalar"));
+TEST(Kernels, RegistryIsScalarThenCpuSupportedSimd) {
+  std::vector<std::string> want{"scalar"};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) want.emplace_back("avx2");
+  if (__builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl"))
+    want.emplace_back("gfni");
+#endif
+  std::vector<std::string> got;
+  for (const gf::Kernel* k : gf::all_kernels()) got.emplace_back(k->name);
+  EXPECT_EQ(got, want);
+
   KernelGuard guard;
+  EXPECT_FALSE(gf::set_active_kernel("no-such-kernel"));
+  EXPECT_FALSE(gf::set_active_kernel("portable"));
+  EXPECT_FALSE(gf::set_active_kernel("ssse3"));
+  EXPECT_TRUE(gf::set_active_kernel("scalar"));
   EXPECT_STREQ(gf::active_kernel().name, "scalar");
   EXPECT_TRUE(gf::set_active_kernel("auto"));
+  EXPECT_EQ(&gf::active_kernel(), gf::all_kernels().back());
 }
 
 // The satellite differential test: all 256 coefficients x a size ladder
@@ -449,6 +461,24 @@ TEST(PayloadArena, MarkRewindReclaims) {
   EXPECT_EQ(big.size(), std::size_t{1} << 14);
   EXPECT_EQ(arena.copy(packet::ConstByteSpan{}).size(), 0u);
   EXPECT_EQ(arena.alloc(0).size(), 0u);
+}
+
+// Rewound per-receiver scratch must count toward the watermark as its
+// peak, not as the sum over every mark/rewind cycle of the epoch.
+TEST(PayloadArena, WatermarkIsPeakNotSumOfRewoundScratch) {
+  constexpr std::size_t kBase = 1000;
+  constexpr std::size_t kScratch = 300;
+  packet::PayloadArena arena(1 << 12);
+  (void)arena.alloc(kBase);
+  for (int r = 0; r < 8; ++r) {
+    const packet::PayloadArena::Mark m = arena.mark();
+    (void)arena.alloc(kScratch);
+    EXPECT_EQ(arena.bytes_allocated(), kBase + kScratch);
+    arena.rewind(m);
+    EXPECT_EQ(arena.bytes_allocated(), kBase);
+  }
+  arena.reset();
+  EXPECT_EQ(arena.high_watermark(), kBase + kScratch);
 }
 
 TEST(Combination, ArenaApplyMatchesScalarReference) {

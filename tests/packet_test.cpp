@@ -76,15 +76,6 @@ TEST(Combination, ApplyValidatesInputs) {
   EXPECT_THROW((void)apply(c2, inputs, 3), std::invalid_argument);
 }
 
-TEST(Combination, DenseRowPlacesCoefficients) {
-  Combination c;
-  c.add(1, gf::GF256(7));
-  c.add(4, gf::GF256(9));
-  const auto row = c.dense_row(6);
-  EXPECT_EQ(row, (std::vector<std::uint8_t>{0, 7, 0, 0, 9, 0}));
-  EXPECT_THROW((void)c.dense_row(3), std::out_of_range);
-}
-
 TEST(Combination, SerializedSizeFormula) {
   Combination c;
   c.add(0, gf::kOne);

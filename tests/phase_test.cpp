@@ -118,7 +118,6 @@ TEST(Phase2, PlanShapes) {
   EXPECT_EQ(plan.group_size, l);
   EXPECT_EQ(plan.h.rows(), m - l);
   EXPECT_EQ(plan.c.rows(), l);
-  EXPECT_EQ(plan.z_announcement.combinations.size(), m - l);
   EXPECT_EQ(plan.s_announcement.combinations.size(), l);
   EXPECT_EQ(secret_bits(plan, 16), l * 16 * 8);
 }
@@ -132,7 +131,6 @@ TEST(Phase2, CodeIsThePlanWithoutAnnouncements) {
     EXPECT_EQ(code.group_size, plan.group_size);
     EXPECT_EQ(code.h, plan.h);
     EXPECT_EQ(code.c, plan.c);
-    EXPECT_TRUE(code.z_announcement.combinations.empty());
     EXPECT_TRUE(code.s_announcement.combinations.empty());
   }
   EXPECT_THROW((void)phase2_code(3, 4), std::invalid_argument);

@@ -48,14 +48,6 @@ TEST(ReceptionTable, SetReceivedOverwrites) {
   EXPECT_EQ(t.received(T(1)), (std::vector<std::uint32_t>{3}));
 }
 
-TEST(ReceptionTable, MissedByCountsSetDifference) {
-  const ReceptionTable t = small_table();
-  // R1 = {0,1,2,3}, R2 = {2,3,4}: R1 \ R2 = {0,1}.
-  EXPECT_EQ(t.missed_by(T(1), T(2)), 2u);
-  EXPECT_EQ(t.missed_by(T(2), T(1)), 1u);  // {4}
-  EXPECT_EQ(t.missed_by(T(1), T(1)), 0u);
-}
-
 TEST(ReceptionTable, ClassesPartitionReceivedPackets) {
   const ReceptionTable t = small_table();
   const auto classes = t.classes();

@@ -50,7 +50,7 @@ int usage(const char* argv0) {
       "       %s run NAME|--spec FILE [--set key=value]...\n"
       "           [--threads N | --workers N] [--seed S] [--out FILE|-]\n"
       "           [--limit K] [--quiet] [--shard-size K]\n"
-      "           [--kernel scalar|portable|ssse3|avx2|gfni|auto]\n"
+      "           [--kernel scalar|avx2|gfni|auto]\n"
       "       %s kernels\n",
       argv0, argv0, argv0, argv0);
   tools::netd_usage(argv0);
@@ -61,7 +61,7 @@ int usage(const char* argv0) {
       "--set overrides one spec key by dotted path, e.g. channel.p=0.3.\n"
       "--workers N forks N local worker processes; output is byte-identical\n"
       "to any --threads run (docs/distributed.md).\n"
-      "--kernel (or THINAIR_GF_KERNEL) retargets the GF(2^8) bulk kernels;\n"
+      "--kernel retargets the GF(2^8) bulk kernels;\n"
       "output is byte-identical across kernels.\n"
       "serve/client run a live key agreement over UDP (docs/daemon.md).\n");
   return 2;

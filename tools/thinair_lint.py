@@ -35,6 +35,10 @@ depends on, but that no general-purpose tool knows to look for:
                         and receiver steps. A direct call to the phase-2
                         building blocks outside src/core/ is a session
                         growing its own copy of the round again.
+  no-env-knobs          Library behaviour is set by explicit options
+                        (SessionConfig, NodeConfig, CLI flags), never by
+                        an ambient environment variable: getenv in src/
+                        makes two runs with identical arguments diverge.
 
 Usage:
   thinair_lint.py --compile-commands build/compile_commands.json
@@ -297,6 +301,25 @@ def rule_protocol_core(code: str) -> list[Finding]:
     return findings
 
 
+_ENV_RE = re.compile(r"\b(secure_getenv|getenv)\s*\(")
+
+
+def rule_no_env_knobs(code: str) -> list[Finding]:
+    findings: list[Finding] = []
+    for lineno, line in enumerate(code.splitlines(), start=1):
+        m = _ENV_RE.search(line)
+        if m:
+            findings.append(
+                (
+                    lineno,
+                    f"'{m.group(1)}' in library code: behaviour must follow "
+                    "from explicit options, not an ambient environment "
+                    "variable; take a parameter (the CLI reads flags)",
+                )
+            )
+    return findings
+
+
 class Rule:
     def __init__(self, name, check, scope, exclude=()):
         self.name = name
@@ -370,6 +393,11 @@ RULES = [
         rule_protocol_core,
         scope=[r"^src/"],
         exclude=[r"^src/core/"],
+    ),
+    Rule(
+        "no-env-knobs",
+        rule_no_env_knobs,
+        scope=[r"^src/"],
     ),
 ]
 
