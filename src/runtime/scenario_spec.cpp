@@ -1,5 +1,6 @@
 #include "runtime/scenario_spec.h"
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -241,6 +242,16 @@ Compiled validate(const ScenarioSpec& spec) {
     for (const EstimatorSeries& series : spec.estimator.series)
       if (series.kind == core::EstimatorKind::kGeometry)
         fail(spec, "estimator 'geometry' requires channel.model = testbed");
+
+  // The parser accepts nan/inf (std::from_chars does); a non-finite
+  // coordinate would reach CellGrid::cell_of and the path-loss model.
+  const auto finite = [](channel::Vec2 v) {
+    return std::isfinite(v.x) && std::isfinite(v.y);
+  };
+  for (const channel::Vec2 pos : spec.topology.positions)
+    if (!finite(pos)) fail(spec, "topology.positions must be finite");
+  if (spec.topology.eve_position && !finite(*spec.topology.eve_position))
+    fail(spec, "topology.eve_position must be finite");
 
   const bool explicit_topology =
       !spec.topology.cells.empty() || !spec.topology.positions.empty();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "channel/testbed_channel.h"
 
 namespace thinair::channel {
@@ -102,6 +104,93 @@ TEST(TestbedChannel, SinrSymmetricInDistance) {
   // pair in slot 4 (jams row 1 / col 1 — neither corner), SINR matches.
   EXPECT_NEAR(ch.link_sinr_db(packet::NodeId{0}, packet::NodeId{1}, 4),
               ch.link_sinr_db(packet::NodeId{1}, packet::NodeId{0}, 4), 1e-9);
+}
+
+// The table built in place() against the model evaluated from scratch:
+// every double must match bit for bit, not just approximately.
+void expect_matches_formula(const TestbedChannel& ch,
+                            const std::vector<packet::NodeId>& ids) {
+  const TestbedChannel::Config& cfg = ch.config();
+  const LogDistancePathLoss pl(cfg.pathloss);
+  for (const packet::NodeId tx : ids) {
+    for (const packet::NodeId rx : ids) {
+      if (tx == rx) continue;
+      const Vec2 rx_pos = ch.position_of(rx);
+      const double signal_mw =
+          pl.rx_power_mw(distance(ch.position_of(tx), rx_pos));
+      for (std::size_t slot = 0; slot < 3 * InterferenceSchedule::kPatterns;
+           ++slot) {
+        SCOPED_TRACE(::testing::Message() << "tx " << tx.value << " rx "
+                                          << rx.value << " slot " << slot);
+        const double interference_mw =
+            cfg.interference_enabled
+                ? ch.schedule().interference_mw(rx_pos, slot, pl)
+                : 0.0;
+        const double sinr = sinr_db(signal_mw, interference_mw, cfg.sinr);
+        EXPECT_EQ(ch.link_sinr_db(tx, rx, slot), sinr);
+        EXPECT_EQ(ch.erasure_probability({tx, rx, slot}),
+                  packet_error_rate(sinr, cfg.sinr));
+      }
+    }
+  }
+}
+
+TEST(TestbedChannel, TableMatchesFormulaBitForBit) {
+  for (const bool interference : {true, false}) {
+    SCOPED_TRACE(interference ? "interference on" : "interference off");
+    TestbedChannel::Config cfg;
+    cfg.interference_enabled = interference;
+    TestbedChannel ch(cfg);
+    std::vector<packet::NodeId> ids;
+    for (std::uint16_t c = 0; c < CellGrid::kCells; ++c) {
+      ids.push_back(packet::NodeId{c});
+      ch.place_in_cell(ids.back(), CellIndex{c});
+    }
+    expect_matches_formula(ch, ids);  // every ordered pair of cells
+
+    // Moving nodes after draws were taken refreshes every link they touch,
+    // in both directions, including off-centre positions.
+    ch.place(packet::NodeId{3}, Vec2{1.0, 4.2});
+    ch.place_in_cell(packet::NodeId{0}, CellIndex{8});
+    expect_matches_formula(ch, ids);
+  }
+}
+
+TEST(TestbedChannel, SparseIdsAndOutOfOrderPlacement) {
+  TestbedChannel ch;
+  // Out of id order: widening the table to a higher id keeps the links
+  // already computed, and a lower id fits in the existing rows.
+  const std::vector<packet::NodeId> ids = {
+      packet::NodeId{17}, packet::NodeId{2}, packet::NodeId{40},
+      packet::NodeId{63}};
+  ch.place(ids[0], Vec2{0.3, 0.4});
+  ch.place(ids[1], Vec2{3.5, 1.1});
+  expect_matches_formula(ch, {ids[0], ids[1]});
+  ch.place_in_cell(ids[2], CellIndex{4});
+  ch.place_in_cell(ids[3], CellIndex{7});
+  expect_matches_formula(ch, ids);
+
+  // Ids between the placed ones, and past the table, are still unplaced.
+  for (const std::uint16_t unplaced : {0, 5, 62, 64, 1000}) {
+    const packet::NodeId u{unplaced};
+    EXPECT_THROW((void)ch.erasure_probability({u, ids[1], 0}),
+                 std::out_of_range);
+    EXPECT_THROW((void)ch.erasure_probability({ids[1], u, 0}),
+                 std::out_of_range);
+    EXPECT_THROW((void)ch.link_sinr_db(ids[2], u, 4), std::out_of_range);
+    EXPECT_THROW((void)ch.position_of(u), std::out_of_range);
+  }
+}
+
+TEST(TestbedChannel, RejectsIdsOutsideTheNodeSetRange) {
+  TestbedChannel ch;
+  ch.place_in_cell(packet::NodeId{0}, CellIndex{0});
+  EXPECT_THROW(ch.place(packet::NodeId{64}, Vec2{1.0, 1.0}), std::out_of_range);
+  EXPECT_THROW(ch.place_in_cell(packet::NodeId{65535}, CellIndex{4}),
+               std::out_of_range);
+  // A rejected id leaves the channel as it was.
+  ch.place_in_cell(packet::NodeId{1}, CellIndex{8});
+  expect_matches_formula(ch, {packet::NodeId{0}, packet::NodeId{1}});
 }
 
 }  // namespace

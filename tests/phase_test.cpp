@@ -9,6 +9,7 @@
 #include <optional>
 #include <tuple>
 
+#include "channel/geometry.h"
 #include "channel/rng.h"
 #include "core/phase1.h"
 #include "core/phase2.h"
@@ -280,7 +281,6 @@ TEST(ProtocolCore, ReceiverStepMatchesAliceForEveryEstimatorAndStrategy) {
   for (const std::string_view name : estimator_kind_names()) {
     EstimatorSpec spec;
     spec.kind = *estimator_kind_from_string(name);
-    if (spec.kind == EstimatorKind::kGeometry) continue;
     for (const PoolStrategy strategy :
          {PoolStrategy::kClassShared, PoolStrategy::kTerminalMds}) {
       for (std::uint64_t seed = 0; seed < 12; ++seed) {
@@ -305,9 +305,25 @@ TEST(ProtocolCore, ReceiverStepMatchesAliceForEveryEstimatorAndStrategy) {
         for (std::uint32_t i = 0; i < n; ++i)
           if (rng.bernoulli(0.5)) eve.push_back(i);
 
+        // kGeometry reads the cells of a random valid placement (one
+        // distinct cell per terminal, at most 6 of the 9, so Eve has a
+        // free one) and the slot of each x-index.
+        std::vector<std::size_t> receiver_cells, slot_of;
+        if (spec.kind == EstimatorKind::kGeometry) {
+          std::vector<std::size_t> cells(channel::CellGrid::kCells);
+          for (std::size_t c = 0; c < cells.size(); ++c) cells[c] = c;
+          for (std::size_t c = cells.size() - 1; c > 0; --c)
+            std::swap(cells[c], cells[rng.next_below(c + 1)]);
+          spec.occupied_cells.assign(cells.begin(),
+                                     cells.begin() + terminals);
+          receiver_cells.assign(cells.begin() + 1, cells.begin() + terminals);
+          for (std::size_t i = 0; i < n; ++i) slot_of.push_back(i);
+        }
+
         packet::PayloadArena arena;
         const Spans x = random_payloads(n, kPayload, seed + 1, arena);
-        const auto est = build_estimator(spec, table, eve);
+        const auto est =
+            build_estimator(spec, table, eve, slot_of, receiver_cells);
         const AliceRound a =
             alice_round(table, *est, strategy, x, kPayload, arena);
         const YPool& pool = a.phase1.build.pool;

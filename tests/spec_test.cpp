@@ -4,6 +4,7 @@
 // scenarios (byte-identical NDJSON at 1 vs 8 threads).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "runtime/engine.h"
@@ -384,6 +385,25 @@ TEST(SpecCompile, ExplicitPositionsDeriveCells) {
   const auto cases = run_scenario_collect(s, RunOptions{});
   ASSERT_EQ(cases.size(), 1u);
   EXPECT_EQ(cases[0].second.group, "n=3");
+}
+
+TEST(SpecCompile, RejectsNonFiniteCoordinates) {
+  // The parser takes nan/inf as numbers; compile() must stop them before
+  // CellGrid::cell_of or the path-loss model sees them.
+  const ScenarioSpec parsed = parse_spec(
+      "name = \"nf\"\n"
+      "[channel]\nmodel = \"testbed\"\n"
+      "[topology]\npositions = [nan, 1, 3, inf]\n");
+  expect_compile_error(parsed, "topology.positions must be finite");
+
+  ScenarioSpec spec;
+  spec.with_name("nf").on_testbed();
+  spec.topology.positions = {{0.5, 0.5}, {3.0, 0.5}, {0.5, 3.0}};
+  spec.topology.eve_position =
+      channel::Vec2{3.0, -std::numeric_limits<double>::infinity()};
+  expect_compile_error(spec, "topology.eve_position must be finite");
+  spec.topology.eve_position = channel::Vec2{3.0, 3.0};
+  EXPECT_NO_THROW((void)compile(spec));
 }
 
 // --------------------------------------------------- determinism contract
