@@ -36,6 +36,24 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
+void Rng::fill(std::span<std::uint8_t> out) {
+  std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+  for (std::uint8_t& b : out) {
+    b = static_cast<std::uint8_t>(rotl(s1 * 5, 7) * 9);
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
+}
+
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   if (bound == 0) throw std::invalid_argument("Rng::next_below: bound == 0");
   // Rejection sampling on the top of the range to avoid modulo bias.

@@ -7,12 +7,19 @@
 // xoshiro256** seeded through splitmix64, which has excellent statistical
 // quality and lets us fork independent streams cheaply.
 //
+// Payload bytes are one full draw each (next_byte() keeps the low 8 bits
+// of next_u64()); the golden digests pin that stream. fill() emits the
+// same sequence for a whole buffer with the state held in registers —
+// byte stores through a uint8_t pointer may alias the state, so a
+// next_byte() loop spills and reloads it on every draw.
+//
 // NOTE: this is a *simulation* RNG. A production deployment must source
 // x-packet payloads from a cryptographically secure generator; the
 // protocol's secrecy argument assumes the payloads are uniform and
 // unpredictable.
 
 #include <cstdint>
+#include <span>
 
 namespace thinair::channel {
 
@@ -34,6 +41,10 @@ class Rng {
 
   /// Uniform byte.
   std::uint8_t next_byte() { return static_cast<std::uint8_t>(next_u64()); }
+
+  /// Overwrite `out` with exactly the bytes a next_byte() loop would draw,
+  /// advancing the stream by out.size() draws.
+  void fill(std::span<std::uint8_t> out);
 
   /// A statistically independent generator derived from this one's stream;
   /// used to give each experiment its own stream.

@@ -14,11 +14,10 @@ RoundContext open_round(net::Medium& medium, packet::NodeId alice,
                         packet::PayloadArena& arena) {
   if (payload_bytes == 0)
     throw std::invalid_argument("open_round: payload_bytes == 0");
-  const auto terminals = medium.terminals();
-  const auto eavesdroppers = medium.eavesdroppers();
+  const std::uint64_t eve_mask = medium.eavesdropper_set().mask();
 
   std::vector<packet::NodeId> receivers;
-  for (packet::NodeId t : terminals)
+  for (packet::NodeId t : medium.terminals())
     if (t != alice) receivers.push_back(t);
 
   RoundContext ctx{
@@ -30,14 +29,16 @@ RoundContext open_round(net::Medium& medium, packet::NodeId alice,
       .rx_indices = std::vector<std::vector<std::uint32_t>>(receivers.size()),
       .eve_indices = {},
       .slot_of = std::vector<std::size_t>(n, 0),
-      .table = ReceptionTable(alice, receivers, n),
+      .table = ReceptionTable(alice, std::move(receivers), n),
   };
+  for (auto& indices : ctx.rx_indices) indices.reserve(n);
+  ctx.eve_indices.reserve(n);
 
   // Step 1: N random payloads, broadcast once each. Payload bytes are
   // carved from the round arena (one bump per packet, contiguous across
   // the round); the frame reuses one Packet whose payload buffer keeps
-  // its capacity across all N transmissions — this loop dominates every
-  // experiment.
+  // its capacity across all N transmissions and the reports after them —
+  // this loop dominates every experiment.
   packet::Packet pkt{.kind = packet::Kind::kData,
                      .source = alice,
                      .round = round,
@@ -46,40 +47,38 @@ RoundContext open_round(net::Medium& medium, packet::NodeId alice,
   pkt.payload.reserve(payload_bytes);
   for (std::uint32_t i = 0; i < n; ++i) {
     const packet::ByteSpan body = arena.alloc_uninit(payload_bytes);
-    for (std::uint8_t& b : body) b = medium.rng().next_byte();
+    medium.rng().fill(body);
     ctx.x_payloads[i] = body;
 
     pkt.seq = packet::PacketSeq{i};
     pkt.payload.assign(body.begin(), body.end());
     ctx.slot_of[i] = medium.slot() % channel::InterferenceSchedule::kPatterns;
-    const net::Medium::TxResult tx =
-        medium.transmit(alice, pkt, net::TrafficClass::kData);
+    const net::NodeSet delivered =
+        medium.transmit(alice, pkt, net::TrafficClass::kData).delivered;
 
-    for (std::size_t ri = 0; ri < receivers.size(); ++ri) {
-      if (tx.delivered.contains(receivers[ri])) {
+    for (std::size_t ri = 0; ri < ctx.receivers.size(); ++ri) {
+      if (delivered.contains(ctx.receivers[ri])) {
         ctx.rx_payloads[ri][i] = ctx.x_payloads[i];
         ctx.rx_indices[ri].push_back(i);
       }
     }
-    for (packet::NodeId e : eavesdroppers) {
-      if (tx.delivered.contains(e)) {
-        ctx.eve_indices.push_back(i);
-        break;  // union view: one antenna hearing it is enough
-      }
-    }
+    // Union view: one antenna hearing it is enough.
+    if ((delivered.mask() & eve_mask) != 0) ctx.eve_indices.push_back(i);
   }
 
-  // Step 2: reliable reception reports.
-  for (std::size_t ri = 0; ri < receivers.size(); ++ri) {
-    ctx.table.set_received(receivers[ri], ctx.rx_indices[ri]);
-    const packet::ReceptionReport report{static_cast<std::uint32_t>(n),
-                                         ctx.rx_indices[ri]};
-    const packet::Packet report_pkt{.kind = packet::Kind::kReport,
-                                    .source = receivers[ri],
-                                    .round = round,
-                                    .seq = packet::PacketSeq{0},
-                                    .payload = packet::encode(report)};
-    net::reliable_broadcast(medium, receivers[ri], report_pkt,
+  // Step 2: reliable reception reports. Each receiver's indices are lent
+  // to the report for encoding and taken back, so nothing is copied.
+  pkt.kind = packet::Kind::kReport;
+  pkt.seq = packet::PacketSeq{0};
+  packet::ReceptionReport report{.universe = static_cast<std::uint32_t>(n),
+                                 .received = {}};
+  for (std::size_t ri = 0; ri < ctx.receivers.size(); ++ri) {
+    ctx.table.set_received(ctx.receivers[ri], ctx.rx_indices[ri]);
+    report.received = std::move(ctx.rx_indices[ri]);
+    packet::encode_into(report, pkt.payload);
+    ctx.rx_indices[ri] = std::move(report.received);
+    pkt.source = ctx.receivers[ri];
+    net::reliable_broadcast(medium, ctx.receivers[ri], pkt,
                             net::TrafficClass::kControl);
   }
 

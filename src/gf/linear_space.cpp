@@ -40,12 +40,15 @@ bool LinearSpace::insert_owned(std::vector<std::uint8_t> w) {
   for (std::size_t b = 0; b < basis_.size(); ++b)
     batch.add(basis_[b][pivot], basis_[b].data());
   batch.flush();
-  const auto pos = std::lower_bound(pivots_.begin(), pivots_.end(), pivot);
-  const auto idx = static_cast<std::size_t>(pos - pivots_.begin());
-  pivots_.insert(pos, pivot);
-  basis_.insert(basis_.begin() + static_cast<std::ptrdiff_t>(idx),
-                std::move(w));
+  insert_reduced(pivot, std::move(w));
   return true;
+}
+
+void LinearSpace::insert_reduced(std::size_t pivot,
+                                 std::vector<std::uint8_t> row) {
+  const auto pos = std::lower_bound(pivots_.begin(), pivots_.end(), pivot);
+  basis_.insert(basis_.begin() + (pos - pivots_.begin()), std::move(row));
+  pivots_.insert(pos, pivot);
 }
 
 std::size_t LinearSpace::insert_rows(const Matrix& m) {
@@ -61,7 +64,15 @@ bool LinearSpace::insert_unit(std::size_t index) {
   if (index >= dim_) throw std::out_of_range("LinearSpace: unit index");
   std::vector<std::uint8_t> v(dim_, 0);
   v[index] = 1;
-  return insert_owned(std::move(v));
+  // When no basis row touches column `index`, e_index is already reduced
+  // (and `index` is no pivot) and back-substitution would be a no-op:
+  // O(rank) reads instead of the O(rank * dim) general path.
+  const bool touched = std::any_of(
+      basis_.begin(), basis_.end(),
+      [index](const auto& row) { return row[index] != 0; });
+  if (touched) return insert_owned(std::move(v));
+  insert_reduced(index, std::move(v));
+  return true;
 }
 
 bool LinearSpace::contains(std::span<const std::uint8_t> v) const {

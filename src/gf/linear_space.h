@@ -4,7 +4,8 @@
 // The secrecy analysis (Sec. 4's reliability metric) models everything Eve
 // has seen as a set of linear functionals of the round's x-packets. This
 // class keeps that set as a row-reduced basis so that
-//   - inserting an observation is O(rank * dim),
+//   - inserting an observation is O(rank * dim), and a unit observation
+//     of a column no basis row touches is O(rank),
 //   - "does this functional add information?" is a residual test,
 //   - equivocation queries reduce to rank arithmetic.
 
@@ -57,6 +58,10 @@ class LinearSpace {
 
   /// insert() taking ownership of the candidate row (no defensive copy).
   [[nodiscard]] bool insert_owned(std::vector<std::uint8_t> w);
+
+  /// Place a normalised row, already reduced against the basis and with
+  /// the basis reduced against it, at its sorted position.
+  void insert_reduced(std::size_t pivot, std::vector<std::uint8_t> row);
 
   std::size_t dim_;
   // Rows kept sorted by pivot column; each row is normalised (pivot == 1)

@@ -14,27 +14,17 @@ Medium::Medium(channel::Rng rng, MacParams params)
 }
 
 void Medium::attach(packet::NodeId node, Role role) {
-  if (nodes_.contains(node)) throw std::invalid_argument("Medium: re-attach");
-  nodes_.emplace(node, role);
+  if (node.value >= 64)
+    throw std::out_of_range("Medium: node id must be < 64 (NodeSet width)");
+  if (is_attached(node)) throw std::invalid_argument("Medium: re-attach");
+  if (role == Role::kTerminal) {
+    terminal_set_.insert(node);
+    terminals_.push_back(node);
+  } else {
+    eavesdropper_set_.insert(node);
+    eavesdroppers_.push_back(node);
+  }
   order_.push_back(node);
-}
-
-std::vector<packet::NodeId> Medium::terminals() const {
-  std::vector<packet::NodeId> out;
-  for (packet::NodeId id : order_)
-    if (nodes_.at(id) == Role::kTerminal) out.push_back(id);
-  return out;
-}
-
-std::vector<packet::NodeId> Medium::eavesdroppers() const {
-  std::vector<packet::NodeId> out;
-  for (packet::NodeId id : order_)
-    if (nodes_.at(id) == Role::kEavesdropper) out.push_back(id);
-  return out;
-}
-
-bool Medium::is_attached(packet::NodeId node) const {
-  return nodes_.contains(node);
 }
 
 double Medium::frame_airtime_s(std::size_t wire_bytes) const {

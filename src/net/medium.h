@@ -19,8 +19,15 @@
 // The medium is sequential and deterministic given the Rng — terminals
 // take turns transmitting under the protocol, so no collision model is
 // needed (the paper's terminals likewise defer to the 802.11 MAC).
+//
+// The registry keeps each role as a NodeSet mask (node ids < 64, the
+// delivery-set width) plus that role's attach order, so per-transmit
+// questions are mask tests: is_attached() is one bit test, and "did any
+// eavesdropper hear this?" is one AND of the delivery set with
+// eavesdropper_set(). terminals() and eavesdroppers() are views of the
+// attach-order vectors, so they allocate nothing.
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "channel/erasure.h"
@@ -56,10 +63,22 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
+  /// Throws std::out_of_range for ids >= 64 and std::invalid_argument on
+  /// re-attach, before any state changes.
   virtual void attach(packet::NodeId node, Role role);
-  [[nodiscard]] std::vector<packet::NodeId> terminals() const;
-  [[nodiscard]] std::vector<packet::NodeId> eavesdroppers() const;
-  [[nodiscard]] bool is_attached(packet::NodeId node) const;
+  /// Each role's nodes in attach order; the views stay valid until the
+  /// next attach().
+  [[nodiscard]] std::span<const packet::NodeId> terminals() const {
+    return terminals_;
+  }
+  [[nodiscard]] std::span<const packet::NodeId> eavesdroppers() const {
+    return eavesdroppers_;
+  }
+  [[nodiscard]] NodeSet terminal_set() const { return terminal_set_; }
+  [[nodiscard]] NodeSet eavesdropper_set() const { return eavesdropper_set_; }
+  [[nodiscard]] bool is_attached(packet::NodeId node) const {
+    return terminal_set_.contains(node) || eavesdropper_set_.contains(node);
+  }
 
   /// Broadcast a frame once (the paper's "transmits"). Every other attached
   /// node independently either receives it or loses it; how that is decided
@@ -105,7 +124,10 @@ class Medium {
  private:
   channel::Rng rng_;
   MacParams params_;
-  std::unordered_map<packet::NodeId, Role> nodes_;
+  NodeSet terminal_set_;
+  NodeSet eavesdropper_set_;
+  std::vector<packet::NodeId> terminals_;      // attach order per role
+  std::vector<packet::NodeId> eavesdroppers_;
   std::vector<packet::NodeId> order_;  // attachment order, for determinism
   double now_s_ = 0.0;
   Ledger ledger_;

@@ -13,6 +13,9 @@ namespace thinair::net {
 
 class NodeSet {
  public:
+  NodeSet() = default;
+  explicit NodeSet(std::uint64_t mask) : mask_(mask) {}
+
   void insert(packet::NodeId id) {
     if (id.value >= 64) throw std::out_of_range("NodeSet: id >= 64");
     mask_ |= (std::uint64_t{1} << id.value);
@@ -25,6 +28,10 @@ class NodeSet {
   }
   [[nodiscard]] bool empty() const { return mask_ == 0; }
   [[nodiscard]] std::uint64_t mask() const { return mask_; }
+  NodeSet& operator|=(NodeSet other) {
+    mask_ |= other.mask_;
+    return *this;
+  }
 
   friend bool operator==(const NodeSet&, const NodeSet&) = default;
 

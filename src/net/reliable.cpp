@@ -1,5 +1,6 @@
 #include "net/reliable.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace thinair::net {
@@ -20,35 +21,28 @@ void charge_ack(Medium& medium, const ReliableParams& params) {
 ReliableResult reliable_broadcast(Medium& medium, packet::NodeId source,
                                   const packet::Packet& pkt, TrafficClass cls,
                                   ReliableParams params) {
-  const auto terminals = medium.terminals();
+  const std::uint64_t eves = medium.eavesdropper_set().mask();
+  // Every terminal but the sender must ack (delivery sets exclude it).
+  std::uint64_t pending = medium.terminal_set().mask();
+  if (source.value < 64) pending &= ~(std::uint64_t{1} << source.value);
 
   ReliableResult result;
-  std::size_t pending = 0;
-  for (packet::NodeId t : terminals)
-    if (t != source) ++pending;
-
-  while (pending > 0) {
+  while (pending != 0) {
     if (result.attempts >= params.max_attempts)
       throw std::runtime_error(
           "reliable_broadcast: channel too lossy, attempts exhausted");
     ++result.attempts;
 
-    const Medium::TxResult tx = medium.transmit(source, pkt, cls);
-
-    for (packet::NodeId rx : terminals) {
-      if (rx == source || result.delivered.contains(rx)) continue;
-      if (tx.delivered.contains(rx)) {
-        result.delivered.insert(rx);
-        --pending;
-        charge_ack(medium, params);
-      }
-    }
+    const std::uint64_t heard =
+        medium.transmit(source, pkt, cls).delivered.mask();
+    const std::uint64_t acked = heard & pending;
+    for (int k = std::popcount(acked); k > 0; --k) charge_ack(medium, params);
+    pending &= ~acked;
     // Any eavesdropper that happened to receive an attempt is noted, though
     // the conservative model treats the content as public anyway.
-    for (packet::NodeId e : medium.eavesdroppers())
-      if (tx.delivered.contains(e)) result.delivered.insert(e);
+    result.delivered |= NodeSet(acked | (heard & eves));
 
-    if (pending > 0 && params.slot_backoff) medium.wait_for_next_slot();
+    if (pending != 0 && params.slot_backoff) medium.wait_for_next_slot();
   }
 
   return result;
@@ -72,8 +66,8 @@ ReliableResult reliable_unicast(Medium& medium, packet::NodeId source,
       result.delivered.insert(dest);
       charge_ack(medium, params);
     }
-    for (packet::NodeId e : medium.eavesdroppers())
-      if (tx.delivered.contains(e)) result.delivered.insert(e);
+    result.delivered |=
+        NodeSet(tx.delivered.mask() & medium.eavesdropper_set().mask());
 
     if (!result.delivered.contains(dest) && params.slot_backoff)
       medium.wait_for_next_slot();

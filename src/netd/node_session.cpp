@@ -392,7 +392,7 @@ void NodeSession::start_alice_round(double /*now_s*/) {
   for (std::size_t i = 0; i < n; ++i) {
     auto& payload = alice_->x[i];
     payload.resize(config_.payload_bytes);
-    for (auto& b : payload) b = payload_rng_.next_byte();
+    payload_rng_.fill(payload);
     queue_frame(make_frame(FrameType::kData, WirePhase::kXData, round_,
                            static_cast<std::uint32_t>(i), payload));
   }

@@ -120,10 +120,8 @@ std::uint32_t HubMedium::feed_expect(const std::vector<std::uint8_t>& datagram,
 
 void HubMedium::join() {
   // mask_order() is the sorted roster; replay the sorted (node, eve) list.
-  const std::vector<packet::NodeId> eves = eavesdroppers();
   for (std::uint16_t id : mask_order()) {
-    const bool eve =
-        std::find(eves.begin(), eves.end(), packet::NodeId{id}) != eves.end();
+    const bool eve = eavesdropper_set().contains(packet::NodeId{id});
     feed_expect(make_attach(id, eve), FrameType::kAttachOk, id, 0);
   }
 }
@@ -184,10 +182,8 @@ std::uint32_t SocketMedium::await(const std::vector<std::uint8_t>& datagram,
 }
 
 void SocketMedium::join() {
-  const std::vector<packet::NodeId> eves = eavesdroppers();
   for (std::uint16_t id : mask_order()) {
-    const bool eve =
-        std::find(eves.begin(), eves.end(), packet::NodeId{id}) != eves.end();
+    const bool eve = eavesdropper_set().contains(packet::NodeId{id});
     await(make_attach(id, eve), FrameType::kAttachOk, id, 0);
   }
 }

@@ -2,6 +2,8 @@
 // erasure models.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "channel/erasure.h"
 #include "channel/geometry.h"
 #include "channel/pathloss.h"
@@ -58,6 +60,20 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng a(11);
   Rng child = a.fork();
   EXPECT_NE(a.next_u64(), child.next_u64());
+}
+
+// fill() keeps the state in registers but must emit exactly the
+// next_byte() stream (the golden digests pin it) and leave the generator
+// where that loop would.
+TEST(Rng, FillEqualsNextByteLoop) {
+  for (const std::size_t len : {0u, 1u, 7u, 100u, 4096u}) {
+    Rng filled(1234 + len), looped(1234 + len);
+    std::vector<std::uint8_t> got(len), want(len);
+    filled.fill(got);
+    for (auto& b : want) b = looped.next_byte();
+    EXPECT_EQ(got, want) << "len " << len;
+    EXPECT_EQ(filled.next_u64(), looped.next_u64()) << "len " << len;
+  }
 }
 
 TEST(Geometry, DistanceEuclidean) {

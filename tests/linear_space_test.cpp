@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gf/mds.h"
 
 namespace thinair::gf {
@@ -195,6 +197,50 @@ TEST(LinearSpace, AgreesWithDenseRankArithmetic) {
         s.basis().vstack(probe).rank() - s.rank();
     EXPECT_EQ(s.residual_rank(probe), expect) << "seed " << seed;
   }
+}
+
+// insert_unit skips elimination when no basis row touches the column. Over
+// random interleavings of unit and dense inserts it must leave exactly
+// the basis, rank and return value that inserting the dense unit row does,
+// on both the untouched-column and the touched-column branch.
+TEST(LinearSpace, InsertUnitMatchesDenseUnitInsert) {
+  std::size_t untouched = 0, touched = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::size_t dim = 3 + seed % 14;
+    std::uint64_t state = seed * 0x9E3779B97F4A7C15ull;
+    const auto next = [&state] {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return static_cast<std::uint32_t>(state >> 32);
+    };
+    LinearSpace fast(dim), dense(dim);
+    for (std::size_t step = 0; step < 2 * dim; ++step) {
+      if (next() % 3 == 0) {
+        // A sparse dense row, so some columns stay untouched for a while.
+        std::vector<std::uint8_t> row(dim, 0);
+        for (auto& c : row)
+          if (next() % 4 == 0) c = static_cast<std::uint8_t>(next());
+        EXPECT_EQ(fast.insert(row), dense.insert(row));
+      } else {
+        const std::size_t index = next() % dim;
+        const Matrix before = fast.basis();
+        bool column_zero = true;
+        for (std::size_t r = 0; r < before.rows(); ++r)
+          if (before.at(r, index) != GF256(0)) column_zero = false;
+        ++(column_zero ? untouched : touched);
+        std::vector<std::uint8_t> unit(dim, 0);
+        unit[index] = 1;
+        EXPECT_EQ(fast.insert_unit(index), dense.insert(unit))
+            << "seed " << seed << " step " << step;
+      }
+      ASSERT_EQ(fast.rank(), dense.rank()) << "seed " << seed;
+      ASSERT_EQ(fast.basis(), dense.basis())
+          << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GT(untouched, 50u);
+  EXPECT_GT(touched, 50u);
 }
 
 // Property: inserting the rows of an MDS generator one by one grows rank

@@ -2,6 +2,9 @@
 // broadcast/unicast.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "channel/erasure.h"
 #include "net/medium.h"
 #include "net/reliable.h"
@@ -147,12 +150,38 @@ TEST(Medium, RejectsUnknownSourceAndReattach) {
 TEST(Medium, RolesSeparateTerminalsFromEavesdroppers) {
   channel::IidErasure ch(0.0);
   SimMedium medium(ch, channel::Rng(8));
-  medium.attach(packet::NodeId{0}, Role::kTerminal);
+  medium.attach(packet::NodeId{5}, Role::kTerminal);
   medium.attach(packet::NodeId{1}, Role::kEavesdropper);
   medium.attach(packet::NodeId{2}, Role::kTerminal);
-  EXPECT_EQ(medium.terminals().size(), 2u);
+  const std::vector<packet::NodeId> terminals(medium.terminals().begin(),
+                                              medium.terminals().end());
+  EXPECT_EQ(terminals, (std::vector{packet::NodeId{5}, packet::NodeId{2}}));
   EXPECT_EQ(medium.eavesdroppers().size(), 1u);
   EXPECT_EQ(medium.eavesdroppers()[0], packet::NodeId{1});
+  EXPECT_EQ(medium.terminal_set().mask(), (1u << 5) | (1u << 2));
+  EXPECT_EQ(medium.eavesdropper_set().mask(), 1u << 1);
+  EXPECT_TRUE(medium.is_attached(packet::NodeId{1}));
+  EXPECT_FALSE(medium.is_attached(packet::NodeId{0}));
+}
+
+// Ids >= 64 do not fit a delivery set; attach() must refuse them up front
+// rather than let the first transmit throw mid-round.
+TEST(Medium, AttachRejectsIdsOutsideTheNodeSetRange) {
+  channel::IidErasure ch(0.0);
+  SimMedium medium(ch, channel::Rng(8));
+  medium.attach(packet::NodeId{0}, Role::kTerminal);
+  EXPECT_THROW(medium.attach(packet::NodeId{64}, Role::kTerminal),
+               std::out_of_range);
+  EXPECT_THROW(medium.attach(packet::NodeId{200}, Role::kEavesdropper),
+               std::out_of_range);
+  EXPECT_FALSE(medium.is_attached(packet::NodeId{64}));
+  EXPECT_EQ(medium.terminals().size(), 1u);
+  EXPECT_TRUE(medium.eavesdroppers().empty());
+
+  medium.attach(packet::NodeId{63}, Role::kTerminal);
+  const auto tx = medium.transmit(packet::NodeId{0}, data_packet(0, 10),
+                                  TrafficClass::kData);
+  EXPECT_EQ(tx.delivered.mask(), std::uint64_t{1} << 63);
 }
 
 TEST(Reliable, BroadcastReachesAllTerminals) {
