@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "channel/geometry.h"
@@ -160,14 +161,16 @@ GeometryEstimator::GeometryEstimator(
     const std::vector<std::size_t>& occupied_cells,
     const std::vector<std::size_t>& receiver_cells, double safety,
     std::size_t eve_antennas)
-    : slot_of_(std::move(slot_of)), safety_(safety),
-      eve_antennas_(eve_antennas) {
+    : safety_(safety), eve_antennas_(eve_antennas) {
+  static_assert(kPatterns == channel::InterferenceSchedule::kPatterns);
+  static_assert(channel::CellGrid::kCells == 9 && kMaxSubsets == 126,
+                "no k-subset count of 9 cells exceeds C(9, 4) = 126");
   if (safety <= 0.0 || safety > 1.0)
     throw std::invalid_argument("GeometryEstimator: safety outside (0, 1]");
   if (eve_antennas == 0)
     throw std::invalid_argument("GeometryEstimator: zero antennas");
-  if (slot_of_.empty()) slot_of_.assign(table.universe(), 0);
-  if (slot_of_.size() != table.universe())
+  if (slot_of.empty()) slot_of.assign(table.universe(), 0);
+  if (slot_of.size() != table.universe())
     throw std::invalid_argument("GeometryEstimator: slot_of size");
   if (receiver_cells.size() != table.receivers().size())
     throw std::invalid_argument("GeometryEstimator: receiver_cells size");
@@ -185,22 +188,33 @@ GeometryEstimator::GeometryEstimator(
   if (candidates_.empty())
     throw std::invalid_argument("GeometryEstimator: no free cell for Eve");
 
-  // Measure the two channel regimes from the receivers' own reports.
+  // Slots rotate through the patterns round-robin: pattern(q) for
+  // q = slot % kPatterns is the pattern of the slot.
   const channel::InterferenceSchedule schedule{channel::CellGrid{}};
+  std::array<std::size_t, kPatterns> sent{};  // x-packets per pattern
+  pattern_of_.reserve(slot_of.size());
+  for (std::size_t slot : slot_of) {
+    pattern_of_.push_back(static_cast<std::uint8_t>(slot % kPatterns));
+    ++sent[pattern_of_.back()];
+  }
+
+  // Measure the two channel regimes from the receivers' own reports, one
+  // read of each receiver's reception set.
   std::size_t jam_missed = 0, jam_total = 0;
   std::size_t clear_missed = 0, clear_total = 0;
   for (std::size_t ri = 0; ri < table.receivers().size(); ++ri) {
     const channel::CellIndex cell{receiver_cells[ri]};
-    for (std::uint32_t i = 0; i < table.universe(); ++i) {
-      const bool jammed = channel::InterferenceSchedule::is_jammed(
-          cell, schedule.pattern(slot_of_[i]));
-      const bool missed = !table.has(table.receivers()[ri], i);
-      if (jammed) {
-        ++jam_total;
-        jam_missed += missed ? 1u : 0u;
+    std::array<std::size_t, kPatterns> got{};
+    for (std::uint32_t i : table.received(table.receivers()[ri]))
+      ++got[pattern_of_[i]];
+    for (std::size_t q = 0; q < kPatterns; ++q) {
+      const std::size_t missed = sent[q] - got[q];
+      if (channel::InterferenceSchedule::is_jammed(cell, schedule.pattern(q))) {
+        jam_total += sent[q];
+        jam_missed += missed;
       } else {
-        ++clear_total;
-        clear_missed += missed ? 1u : 0u;
+        clear_total += sent[q];
+        clear_missed += missed;
       }
     }
   }
@@ -210,34 +224,40 @@ GeometryEstimator::GeometryEstimator(
   clear_rate_ = clear_total == 0 ? 0.0
                                  : static_cast<double>(clear_missed) /
                                        static_cast<double>(clear_total);
+
+  // Per k-subset of candidate cells, the probability that every antenna
+  // misses a packet sent under each pattern: per-slot rates multiply.
+  const std::size_t k = std::min(eve_antennas_, candidates_.size());
+  std::vector<std::size_t> pick(k);
+  std::iota(pick.begin(), pick.end(), std::size_t{0});
+  do {
+    std::array<double, kPatterns>& miss = subset_miss_.emplace_back();
+    for (std::size_t q = 0; q < kPatterns; ++q) {
+      miss[q] = 1.0;
+      for (std::size_t p : pick) {
+        const bool jammed = channel::InterferenceSchedule::is_jammed(
+            channel::CellIndex{candidates_[p]}, schedule.pattern(q));
+        miss[q] *= jammed ? jam_rate_ : clear_rate_;
+      }
+    }
+  } while (util::next_k_subset(pick, candidates_.size()));
 }
 
 std::size_t GeometryEstimator::missed_within(
     const std::vector<std::uint32_t>& indices, const net::NodeSet&) const {
-  const channel::InterferenceSchedule schedule{channel::CellGrid{}};
-  const std::size_t k = std::min(eve_antennas_, candidates_.size());
-
-  // Enumerate k-subsets of candidate cells; a k-antenna Eve misses a
-  // packet only when every antenna misses it, so per-slot rates multiply.
-  double worst = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> pick(k);
-  for (std::size_t i = 0; i < k; ++i) pick[i] = i;
-  do {
-    double expected = 0.0;
-    for (std::uint32_t i : indices) {
-      if (i >= slot_of_.size())
-        throw std::out_of_range("GeometryEstimator: index out of range");
-      double miss = 1.0;
-      for (std::size_t p : pick) {
-        const bool jammed = channel::InterferenceSchedule::is_jammed(
-            channel::CellIndex{candidates_[p]},
-            schedule.pattern(slot_of_[i]));
-        miss *= jammed ? jam_rate_ : clear_rate_;
-      }
-      expected += miss;
-    }
-    worst = std::min(worst, expected);
-  } while (util::next_k_subset(pick, candidates_.size()));
+  // One running sum per antenna subset, each adding the indices in order;
+  // the bound is the smallest.
+  std::array<double, kMaxSubsets> expected{};
+  const std::size_t subsets = subset_miss_.size();
+  for (std::uint32_t i : indices) {
+    if (i >= pattern_of_.size())
+      throw std::out_of_range("GeometryEstimator: index out of range");
+    const std::size_t q = pattern_of_[i];
+    for (std::size_t s = 0; s < subsets; ++s)
+      expected[s] += subset_miss_[s][q];
+  }
+  const double worst =
+      *std::min_element(expected.begin(), expected.begin() + subsets);
   return static_cast<std::size_t>(std::floor(safety_ * worst + 1e-9));
 }
 

@@ -18,6 +18,7 @@
 //    terminal Tj is Eve"), larger k defends against a k-antenna Eve.
 //  - LeaveOneOutEstimator: alias for k = 1.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -205,12 +206,20 @@ class GeometryEstimator final : public EveBoundEstimator {
   }
 
  private:
-  std::vector<std::size_t> slot_of_;
-  std::vector<std::size_t> candidates_;  // free cells = Eve hypotheses
+  // channel::InterferenceSchedule::kPatterns, and the most k-subsets
+  // the 9 cells of the grid have, C(9, 4).
+  static constexpr std::size_t kPatterns = 9;
+  static constexpr std::size_t kMaxSubsets = 126;
+
+  std::vector<std::uint8_t> pattern_of_;  // x-index -> noise pattern
+  std::vector<std::size_t> candidates_;   // free cells = Eve hypotheses
   double safety_;
   std::size_t eve_antennas_;
   double jam_rate_ = 1.0;    // measured miss rate of jammed receivers
   double clear_rate_ = 0.0;  // measured miss rate of clear receivers
+  // Per k-subset of candidates, in enumeration order: the probability that
+  // every antenna misses a packet sent under each pattern.
+  std::vector<std::array<double, kPatterns>> subset_miss_;
 };
 
 /// Which Sec. 3.3 strategy sizes the secrets.

@@ -1,9 +1,10 @@
 #include "core/phase2.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "gf/encode.h"
-#include "gf/gather.h"
+#include "gf/kernels.h"
 #include "gf/mds.h"
 
 namespace thinair::core {
@@ -52,12 +53,14 @@ Phase2Plan phase2_code(std::size_t pool_size, std::size_t group_size) {
   if (m > gf::mds::kMaxColumns)
     throw std::invalid_argument("phase2_code: pool too large for GF(2^8)");
 
-  const gf::Matrix v = gf::mds::vandermonde_square(m);
-  std::vector<std::size_t> top(m - l), bottom(l);
-  for (std::size_t i = 0; i < m - l; ++i) top[i] = i;
-  for (std::size_t i = 0; i < l; ++i) bottom[i] = m - l + i;
-  plan.h = v.select_rows(top);
-  plan.c = v.select_rows(bottom);
+  // H and C are the row ranges [0, M - L) and [M - L, M) of the M x M
+  // Vandermonde matrix, filled in place.
+  plan.h = gf::Matrix(m - l, m);
+  plan.c = gf::Matrix(l, m);
+  for (std::size_t i = 0; i < m - l; ++i)
+    gf::mds::vandermonde_row(i, plan.h.row(i));
+  for (std::size_t i = 0; i < l; ++i)
+    gf::mds::vandermonde_row(m - l + i, plan.c.row(i));
   return plan;
 }
 
@@ -84,47 +87,66 @@ std::vector<packet::ConstByteSpan> recover_all_y(
     if (z.size() != payload_size)
       throw std::invalid_argument("recover_all_y: z payload size mismatch");
 
-  std::vector<std::size_t> unknown, known;
-  for (std::size_t j = 0; j < m; ++j)
-    (own_y[j].empty() ? unknown : known).push_back(j);
-  if (unknown.size() > plan.h.rows())
+  std::vector<std::size_t> unknown;
+  unknown.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    if (own_y[j].empty())
+      unknown.push_back(j);
+    else if (own_y[j].size() != payload_size)
+      throw std::invalid_argument("recover_all_y: y payload size mismatch");
+  }
+  const std::size_t d = unknown.size();
+  if (d > plan.h.rows())
     throw std::invalid_argument(
         "recover_all_y: more unknowns than z-packets (M_i < L?)");
 
   std::vector<packet::ConstByteSpan> y(own_y.begin(), own_y.end());
-  if (unknown.empty()) return y;
+  if (d == 0) return y;
 
-  // Only the first |unknown| z-rows feed the solve below; skip the rest.
-  std::vector<std::size_t> rows_used(unknown.size());
-  for (std::size_t i = 0; i < unknown.size(); ++i) rows_used[i] = i;
-  const gf::Matrix top = plan.h.select_rows(rows_used);
-
-  // Residual r_i = z_i - sum_{known j} H[i][j] * y_j  =  H[:,unknown] * y_u.
-  // Fused on the gather side: seed each residual with its z-content, then
-  // one gather pass per residual row over the known y's.
-  std::vector<packet::ByteSpan> residual(unknown.size());
-  for (std::size_t i = 0; i < unknown.size(); ++i)
-    residual[i] = arena.copy(z_payloads[i]);
-  {
-    const gf::Matrix hk = top.select_columns(known);
-    std::vector<packet::ConstByteSpan> yk;
-    yk.reserve(known.size());
-    for (std::size_t j : known) yk.push_back(own_y[j]);
-    for (std::size_t i = 0; i < residual.size(); ++i)
-      gf::gather(hk.row(i), yk, residual[i]);
+  // The repair system [H_U | r] over the first d z-rows, in the arena:
+  // H_U holds H's columns at the unknown indices and
+  // r_i = z_i - sum_{known j} H[i][j] * y_j = (H_U y_U)_i, the residual
+  // seeded with the z-content and fused over the known y's.
+  gf::Matrix a(d, d, arena);
+  gf::Matrix r(d, payload_size, arena);
+  for (std::size_t i = 0; i < d; ++i) {
+    const std::span<const std::uint8_t> h = plan.h.row(i);
+    for (std::size_t u = 0; u < d; ++u) a.row(i)[u] = h[unknown[u]];
+    std::copy(z_payloads[i].begin(), z_payloads[i].end(), r.row(i).begin());
+    gf::DotBatch residual(r.row(i).data(), payload_size);
+    for (std::size_t j = 0; j < m; ++j)
+      if (!own_y[j].empty()) residual.add(h[j], own_y[j].data());
+    residual.flush();
   }
 
-  // Solve the square |unknown| x |unknown| subsystem built from the first
-  // |unknown| z-rows (any such subset of Vandermonde rows 0..M-L-1
-  // restricted to |unknown| columns is invertible).
-  const auto inv = top.select_columns(unknown).inverse();
-  if (!inv.has_value())
-    throw std::logic_error("recover_all_y: repair system singular");
-
-  const std::vector<packet::ConstByteSpan> rc(residual.begin(),
-                                              residual.end());
-  for (std::size_t u = 0; u < unknown.size(); ++u)
-    y[unknown[u]] = gf::gather(inv->row(u), rc, payload_size, arena);
+  // Gauss-Jordan: reducing H_U to the identity turns r into y_U. The
+  // solution is unique, so its bytes do not depend on how it is found.
+  // Columns left of c are already reduced and the pivot row is zero
+  // there, so the coefficient updates start at column c.
+  for (std::size_t c = 0; c < d; ++c) {
+    std::size_t p = c;
+    while (p < d && a.row(p)[c] == 0) ++p;
+    if (p == d) throw std::logic_error("recover_all_y: repair system singular");
+    if (p != c) {
+      std::swap_ranges(a.row(p).begin(), a.row(p).end(), a.row(c).begin());
+      std::swap_ranges(r.row(p).begin(), r.row(p).end(), r.row(c).begin());
+    }
+    std::uint8_t* const pivot = a.row(c).data() + c;
+    const gf::GF256 inv = gf::GF256{*pivot}.inv();
+    gf::mul_row(inv, pivot, pivot, d - c);
+    gf::mul_row(inv, r.row(c).data(), r.row(c).data(), payload_size);
+    gf::MadBatch coeffs(pivot, d - c);
+    gf::MadBatch payloads(r.row(c).data(), payload_size);
+    for (std::size_t i = 0; i < d; ++i) {
+      if (i == c) continue;
+      const std::uint8_t f = a.row(i)[c];
+      coeffs.add(f, a.row(i).data() + c);
+      payloads.add(f, r.row(i).data());
+    }
+    coeffs.flush();
+    payloads.flush();
+  }
+  for (std::size_t u = 0; u < d; ++u) y[unknown[u]] = r.row(u);
   return y;
 }
 

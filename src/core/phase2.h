@@ -10,7 +10,8 @@
 //
 // Construction: take the M x M (invertible) Vandermonde matrix V over the
 // y-indices. H = the first M - L rows defines the z-packets, C = the last
-// L rows defines the s-packets.
+// L rows defines the s-packets. Both are filled row by row from the GF(2^8)
+// exp table (gf::mds::vandermonde_row); V itself is never built.
 //  - Repair: any M - L columns of H are independent (Vandermonde rows
 //    0..M-L-1), so a terminal with d <= M - L unknowns solves them from
 //    the z-contents.
@@ -62,10 +63,14 @@ struct Phase2Plan {
 /// Terminal's side of step 2: combine its reconstructed y-packets with the
 /// broadcast z-contents to recover the full y vector. `own_y` uses empty
 /// spans for the y-packets the terminal could not reconstruct
-/// (reconstruct_y's convention). The returned views alias `own_y` where it
-/// was known and fresh arena spans where the packet had to be repaired.
-/// Throws when the inputs are inconsistent (more unknowns than z-packets —
-/// impossible for a pool-derived plan).
+/// (reconstruct_y's convention). With d unknowns, the first d z-rows
+/// restricted to the unknown columns (H_U) and the residual payloads
+/// (z minus the known y's contribution) form [H_U | r]; Gauss-Jordan on it,
+/// carved from `arena`, leaves y_U in the residual rows. No inverse is
+/// formed. The returned views alias `own_y` where it was known and arena
+/// spans where the packet had to be repaired. Throws when the inputs are
+/// inconsistent (more unknowns than z-packets — impossible for a
+/// pool-derived plan — or payloads of the wrong size).
 [[nodiscard]] std::vector<packet::ConstByteSpan> recover_all_y(
     const Phase2Plan& plan, std::span<const packet::ConstByteSpan> own_y,
     std::span<const packet::ConstByteSpan> z_payloads,

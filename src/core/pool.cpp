@@ -1,6 +1,7 @@
 #include "core/pool.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -98,6 +99,19 @@ net::NodeSet exempt_set(packet::NodeId alice,
   return s;
 }
 
+/// Row `row` of the Vandermonde generator over `chunk` (at most 255
+/// x-indices) as a combination. Every entry is a power of alpha, so no
+/// term is zero and the combination has one term per index.
+packet::Combination mds_combination(const std::vector<std::uint32_t>& chunk,
+                                    std::size_t row) {
+  std::array<std::uint8_t, gf::mds::kMaxColumns> coeffs;
+  gf::mds::vandermonde_row(row, std::span(coeffs).first(chunk.size()));
+  std::vector<packet::Term> terms(chunk.size());
+  for (std::size_t col = 0; col < chunk.size(); ++col)
+    terms[col] = packet::Term{chunk[col], gf::GF256{coeffs[col]}};
+  return packet::Combination(std::move(terms));
+}
+
 /// Per-terminal ceilings: the paper's M_i estimate for each receiver.
 std::vector<std::size_t> terminal_ceilings(const ReceptionTable& table,
                                            const EveBoundEstimator& est) {
@@ -165,13 +179,9 @@ void build_class_shared(const ReceptionTable& table,
       // MDS rows over the chunk's own x-packets: any n_t columns of the
       // generator are independent, so the n_t outputs stay jointly uniform
       // for any adversary missing at least n_t of the inputs.
-      const gf::Matrix g = gf::mds::vandermonde(n_t, chunk.size());
-      for (std::size_t row = 0; row < n_t; ++row) {
-        packet::Combination combo;
-        for (std::size_t col = 0; col < chunk.size(); ++col)
-          combo.add(chunk[col], g.at(row, col));
-        result.pool.add(YPool::Entry{std::move(combo), cls.members});
-      }
+      for (std::size_t row = 0; row < n_t; ++row)
+        result.pool.add(
+            YPool::Entry{mds_combination(chunk, row), cls.members});
     }
     result.allocations.push_back(PoolAllocation{cls.members,
                                                 cls.indices.size(),
@@ -230,11 +240,8 @@ void build_terminal_mds(const ReceptionTable& table,
       const std::size_t m_i = std::min(budget, chunk.size());
       budget -= m_i;
 
-      const gf::Matrix g = gf::mds::vandermonde(m_i, chunk.size());
       for (std::size_t row = 0; row < m_i; ++row) {
-        packet::Combination combo;
-        for (std::size_t col = 0; col < chunk.size(); ++col)
-          combo.add(chunk[col], g.at(row, col));
+        packet::Combination combo = mds_combination(chunk, row);
 
         // A row already in the pool (a receiver with an identical chunk
         // went first) is shared, not re-added; its audience was computed

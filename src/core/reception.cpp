@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <stdexcept>
 
 namespace thinair::core {
@@ -45,8 +44,11 @@ bool ReceptionTable::has(packet::NodeId t, std::uint32_t index) const {
 std::vector<std::uint32_t> ReceptionTable::received(packet::NodeId t) const {
   const auto& bm = bitmaps_[receiver_index(t)];
   std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < universe_; ++i)
-    if ((bm[i / 64] >> (i % 64)) & 1) out.push_back(i);
+  out.reserve(received_count(t));
+  for (std::size_t w = 0; w < bm.size(); ++w)
+    for (std::uint64_t bits = bm[w]; bits != 0; bits &= bits - 1)
+      out.push_back(static_cast<std::uint32_t>(w * 64) +
+                    static_cast<std::uint32_t>(std::countr_zero(bits)));
   return out;
 }
 
@@ -58,26 +60,52 @@ std::size_t ReceptionTable::received_count(packet::NodeId t) const {
 }
 
 std::vector<ReceptionTable::Class> ReceptionTable::classes() const {
-  std::map<std::uint64_t, std::vector<std::uint32_t>> by_mask;
-  for (std::uint32_t i = 0; i < universe_; ++i) {
-    net::NodeSet members;
-    for (std::size_t r = 0; r < receivers_.size(); ++r)
-      if ((bitmaps_[r][i / 64] >> (i % 64)) & 1) members.insert(receivers_[r]);
-    if (!members.empty()) by_mask[members.mask()].push_back(i);
+  // One pass over the bitmaps gives every x-index its receiver mask.
+  struct Keyed {
+    std::uint64_t mask;
+    std::uint32_t members;
+    std::uint32_t index;
+  };
+  std::vector<std::uint64_t> mask_of(universe_, 0);
+  for (std::size_t r = 0; r < receivers_.size(); ++r) {
+    const auto& bm = bitmaps_[r];
+    net::NodeSet self;
+    self.insert(receivers_[r]);
+    for (std::size_t w = 0; w < bm.size(); ++w)
+      for (std::uint64_t bits = bm[w]; bits != 0; bits &= bits - 1)
+        mask_of[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] |=
+            self.mask();
   }
-  std::vector<Class> out;
-  out.reserve(by_mask.size());
-  for (auto& [mask, indices] : by_mask) {
-    net::NodeSet members;
-    for (packet::NodeId r : receivers_)
-      if ((mask >> r.value) & 1) members.insert(r);
-    out.push_back(Class{members, std::move(indices)});
-  }
-  std::sort(out.begin(), out.end(), [](const Class& a, const Class& b) {
-    if (a.members.size() != b.members.size())
-      return a.members.size() > b.members.size();
-    return a.members.mask() < b.members.mask();
+  std::vector<Keyed> keyed;
+  keyed.reserve(universe_);
+  for (std::uint32_t i = 0; i < universe_; ++i)
+    if (mask_of[i] != 0)
+      keyed.push_back(Keyed{
+          mask_of[i], static_cast<std::uint32_t>(std::popcount(mask_of[i])),
+          i});
+
+  // One sort puts the classes in allocation order (most members first,
+  // ties by mask) and each class's indices in ascending order.
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.members != b.members) return a.members > b.members;
+    if (a.mask != b.mask) return a.mask < b.mask;
+    return a.index < b.index;
   });
+  std::size_t class_count = 0;
+  for (std::size_t k = 0; k < keyed.size(); ++k)
+    if (k == 0 || keyed[k].mask != keyed[k - 1].mask) ++class_count;
+  std::vector<Class> out;
+  out.reserve(class_count);
+  for (std::size_t begin = 0; begin < keyed.size();) {
+    std::size_t end = begin + 1;
+    while (end < keyed.size() && keyed[end].mask == keyed[begin].mask) ++end;
+    Class cls{net::NodeSet(keyed[begin].mask), {}};
+    cls.indices.reserve(end - begin);
+    for (std::size_t k = begin; k < end; ++k)
+      cls.indices.push_back(keyed[k].index);
+    out.push_back(std::move(cls));
+    begin = end;
+  }
   return out;
 }
 

@@ -1,54 +1,78 @@
 #include "gf/linear_space.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "gf/kernels.h"
 
 namespace thinair::gf {
 
-std::size_t LinearSpace::reduce(std::vector<std::uint8_t>& v) const {
-  // Fused gather: v is the shared output, blocks of kMaxFusedRows basis
-  // rows the inputs. Reading every coefficient v[pivot] up front (rather
-  // than interleaved with the eliminations) is sound because the basis is
-  // fully reduced — each basis row is zero at every *other* basis row's
-  // pivot, so eliminating with row b never changes v at another row's
-  // pivot column. This is the one elimination loop behind insert(),
-  // contains() and residual_rank()'s fixed-basis phase.
-  DotBatch batch(v.data(), dim_);
-  for (std::size_t b = 0; b < basis_.size(); ++b)
-    batch.add(v[pivots_[b]], basis_[b].data());
+namespace {
+
+/// Reduce v (dim bytes) against `count` rows of `rows` that are fully
+/// reduced: row b is 1 at pivots[b] and zero at every other row's pivot.
+/// Returns the column of v's leading nonzero entry, or dim when v reduces
+/// to zero. Reading every coefficient v[pivot] up front (rather than
+/// interleaved with the eliminations) is sound because eliminating with
+/// row b never changes v at another row's pivot column, so the rows feed
+/// one fused gather: v is the shared output, blocks of kMaxFusedRows rows
+/// the inputs.
+std::size_t reduce_against(const std::uint8_t* rows,
+                           const std::size_t* pivots, std::size_t count,
+                           std::uint8_t* v, std::size_t dim) {
+  DotBatch batch(v, dim);
+  for (std::size_t b = 0; b < count; ++b)
+    batch.add(v[pivots[b]], rows + b * dim);
   batch.flush();
-  for (std::size_t i = 0; i < dim_; ++i)
-    if (v[i] != 0) return i;
-  return dim_;
+  return static_cast<std::size_t>(
+      std::find_if(v, v + dim, [](std::uint8_t x) { return x != 0; }) - v);
+}
+
+/// Normalise v (reduced against the rows, leading column `pivot`) and
+/// eliminate column `pivot` from the `count` rows, so that the rows plus
+/// v are fully reduced. Fused: v is the shared input, batches of
+/// kMaxFusedRows rows the outputs.
+void absorb(std::uint8_t* rows, std::size_t count, std::uint8_t* v,
+            std::size_t pivot, std::size_t dim) {
+  mul_row(GF256{v[pivot]}.inv(), v, v, dim);
+  MadBatch batch(v, dim);
+  for (std::size_t b = 0; b < count; ++b)
+    batch.add(rows[b * dim + pivot], rows + b * dim);
+  batch.flush();
+}
+
+}  // namespace
+
+bool LinearSpace::insert_candidate() {
+  std::uint8_t* const v = rows_.data() + rank() * dim_;
+  const std::size_t pivot =
+      reduce_against(rows_.data(), pivots_.data(), rank(), v, dim_);
+  if (pivot == dim_) {
+    rows_.resize(rank() * dim_);
+    return false;
+  }
+  absorb(rows_.data(), rank(), v, pivot, dim_);
+  pivots_.push_back(pivot);
+  return true;
+}
+
+std::uint8_t* LinearSpace::new_slot() {
+  // The rank never exceeds dim_: one reservation holds every row the
+  // space can ever have, so the slot's address stays valid.
+  if (rows_.capacity() < dim_ * dim_) {
+    rows_.reserve(dim_ * dim_);
+    pivots_.reserve(dim_);
+  }
+  rows_.resize(rows_.size() + dim_);  // zero-filled
+  return rows_.data() + rows_.size() - dim_;
 }
 
 bool LinearSpace::insert(std::span<const std::uint8_t> v) {
   if (v.size() != dim_) throw std::invalid_argument("LinearSpace: bad length");
-  return insert_owned({v.begin(), v.end()});
-}
-
-bool LinearSpace::insert_owned(std::vector<std::uint8_t> w) {
-  const std::size_t pivot = reduce(w);
-  if (pivot == dim_) return false;
-  mul_row(GF256{w[pivot]}.inv(), w.data(), w.data(), dim_);
-  // Back-substitute into existing rows to stay fully reduced — fused: the
-  // new row is the shared input, batches of kMaxFusedRows basis rows the
-  // outputs.
-  MadBatch batch(w.data(), dim_);
-  for (std::size_t b = 0; b < basis_.size(); ++b)
-    batch.add(basis_[b][pivot], basis_[b].data());
-  batch.flush();
-  insert_reduced(pivot, std::move(w));
-  return true;
-}
-
-void LinearSpace::insert_reduced(std::size_t pivot,
-                                 std::vector<std::uint8_t> row) {
-  const auto pos = std::lower_bound(pivots_.begin(), pivots_.end(), pivot);
-  basis_.insert(basis_.begin() + (pos - pivots_.begin()), std::move(row));
-  pivots_.insert(pos, pivot);
+  if (rank() == dim_) return false;  // the space is everything
+  std::copy(v.begin(), v.end(), new_slot());
+  return insert_candidate();
 }
 
 std::size_t LinearSpace::insert_rows(const Matrix& m) {
@@ -62,62 +86,64 @@ std::size_t LinearSpace::insert_rows(const Matrix& m) {
 
 bool LinearSpace::insert_unit(std::size_t index) {
   if (index >= dim_) throw std::out_of_range("LinearSpace: unit index");
-  std::vector<std::uint8_t> v(dim_, 0);
-  v[index] = 1;
+  if (rank() == dim_) return false;
   // When no basis row touches column `index`, e_index is already reduced
   // (and `index` is no pivot) and back-substitution would be a no-op:
   // O(rank) reads instead of the O(rank * dim) general path.
-  const bool touched = std::any_of(
-      basis_.begin(), basis_.end(),
-      [index](const auto& row) { return row[index] != 0; });
-  if (touched) return insert_owned(std::move(v));
-  insert_reduced(index, std::move(v));
+  bool touched = false;
+  for (std::size_t b = 0; b < rank() && !touched; ++b)
+    touched = rows_[b * dim_ + index] != 0;
+  new_slot()[index] = 1;
+  if (touched) return insert_candidate();
+  pivots_.push_back(index);
   return true;
 }
 
 bool LinearSpace::contains(std::span<const std::uint8_t> v) const {
   if (v.size() != dim_) throw std::invalid_argument("LinearSpace: bad length");
   std::vector<std::uint8_t> w(v.begin(), v.end());
-  return reduce(w) == dim_;
+  return reduce_against(rows_.data(), pivots_.data(), rank(), w.data(),
+                        dim_) == dim_;
 }
 
 std::size_t LinearSpace::residual_rank(const Matrix& m) const {
-  // Rank counting only — no copy of the basis, no normalisation of the
-  // probe rows beyond what elimination needs. Each candidate row is
+  // Rank counting only, with no copy of the basis: each candidate row is
   // reduced against the fixed basis, then against the previously accepted
-  // candidates (kept normalised and sorted by pivot; rows are zero before
-  // their pivot and zero at every fixed-basis pivot, so one monotone walk
-  // eliminates every matching pivot).
+  // candidates. Those are kept fully reduced among themselves, in one
+  // buffer, and are zero at every fixed-basis pivot (each was reduced
+  // against the basis first), so the second reduction keeps the first.
   if (m.cols() != dim_)
     throw std::invalid_argument("LinearSpace: matrix width");
-  std::vector<std::vector<std::uint8_t>> fresh;  // sorted by pivot
+  const std::size_t cap = std::min(m.rows(), dim_ - rank());
+  std::vector<std::uint8_t> fresh(cap * dim_);
   std::vector<std::size_t> fresh_pivots;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
+  fresh_pivots.reserve(cap);
+  for (std::size_t i = 0; i < m.rows() && fresh_pivots.size() < cap; ++i) {
+    const std::size_t k = fresh_pivots.size();
+    std::uint8_t* const w = fresh.data() + k * dim_;
     const auto row = m.row(i);
-    std::vector<std::uint8_t> w(row.begin(), row.end());
-    std::size_t p = reduce(w);
-    for (std::size_t b = 0; b < fresh.size() && p < dim_; ++b) {
-      if (fresh_pivots[b] < p) continue;
-      if (fresh_pivots[b] > p) break;  // nothing can clear column p
-      axpy(GF256{w[p]}, fresh[b].data(), w.data(), dim_);
-      while (p < dim_ && w[p] == 0) ++p;
-    }
+    std::copy(row.begin(), row.end(), w);
+    if (reduce_against(rows_.data(), pivots_.data(), rank(), w, dim_) ==
+        dim_)
+      continue;
+    const std::size_t p =
+        reduce_against(fresh.data(), fresh_pivots.data(), k, w, dim_);
     if (p == dim_) continue;
-    mul_row(GF256{w[p]}.inv(), w.data(), w.data(), dim_);
-    const auto pos =
-        std::lower_bound(fresh_pivots.begin(), fresh_pivots.end(), p);
-    const auto idx = static_cast<std::size_t>(pos - fresh_pivots.begin());
-    fresh_pivots.insert(pos, p);
-    fresh.insert(fresh.begin() + static_cast<std::ptrdiff_t>(idx),
-                 std::move(w));
+    absorb(fresh.data(), k, w, p, dim_);
+    fresh_pivots.push_back(p);
   }
-  return fresh.size();
+  return fresh_pivots.size();
 }
 
 Matrix LinearSpace::basis() const {
-  Matrix out(basis_.size(), dim_);
-  for (std::size_t i = 0; i < basis_.size(); ++i)
-    std::copy(basis_[i].begin(), basis_[i].end(), out.row(i).begin());
+  std::vector<std::size_t> order(rank());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    return pivots_[a] < pivots_[b];
+  });
+  Matrix out(rank(), dim_);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    std::copy_n(rows_.data() + order[i] * dim_, dim_, out.row(i).begin());
   return out;
 }
 

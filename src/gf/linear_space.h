@@ -3,11 +3,20 @@
 //
 // The secrecy analysis (Sec. 4's reliability metric) models everything Eve
 // has seen as a set of linear functionals of the round's x-packets. This
-// class keeps that set as a row-reduced basis so that
+// class keeps that set as a fully reduced basis so that
 //   - inserting an observation is O(rank * dim), and a unit observation
 //     of a column no basis row touches is O(rank),
 //   - "does this functional add information?" is a residual test,
 //   - equivocation queries reduce to rank arithmetic.
+//
+// Storage: the basis rows sit in one contiguous buffer, dim bytes each, in
+// insertion order, with the pivot column of each row beside it. The rank
+// never exceeds dim, so the buffer is reserved for dim rows on the first
+// insert and never grows again; a candidate row is reduced in place in
+// the next free slot, so no later insert allocates. Row order does not matter
+// to elimination (XOR accumulation is order-independent) and the reduced
+// row-echelon basis of a space is unique, so basis() sorts by pivot on
+// demand and returns the same matrix whatever the insertion order.
 
 #include <cstddef>
 #include <span>
@@ -23,7 +32,7 @@ class LinearSpace {
   explicit LinearSpace(std::size_t dim) : dim_(dim) {}
 
   [[nodiscard]] std::size_t dim() const { return dim_; }
-  [[nodiscard]] std::size_t rank() const { return basis_.size(); }
+  [[nodiscard]] std::size_t rank() const { return pivots_.size(); }
 
   /// Insert a vector; returns true when it was independent of (and thus
   /// enlarged) the space. Vector length must equal dim(). The return
@@ -48,26 +57,24 @@ class LinearSpace {
   /// of a secret with combination matrix m given these observations.
   [[nodiscard]] std::size_t residual_rank(const Matrix& m) const;
 
-  /// The current basis as a matrix (rank() x dim()).
+  /// The reduced row-echelon basis as a matrix (rank() x dim(), rows
+  /// sorted by pivot column).
   [[nodiscard]] Matrix basis() const;
 
  private:
-  /// Reduce v against the basis in place; returns the column of its leading
-  /// nonzero entry, or dim_ when v reduces to zero.
-  std::size_t reduce(std::vector<std::uint8_t>& v) const;
+  /// Reduce the candidate in the next free slot against the basis and,
+  /// when it is independent, commit it as a new basis row.
+  bool insert_candidate();
 
-  /// insert() taking ownership of the candidate row (no defensive copy).
-  [[nodiscard]] bool insert_owned(std::vector<std::uint8_t> w);
-
-  /// Place a normalised row, already reduced against the basis and with
-  /// the basis reduced against it, at its sorted position.
-  void insert_reduced(std::size_t pivot, std::vector<std::uint8_t> row);
+  /// Append a zeroed candidate row after the basis and return it.
+  std::uint8_t* new_slot();
 
   std::size_t dim_;
-  // Rows kept sorted by pivot column; each row is normalised (pivot == 1)
-  // and fully reduced against the others.
-  std::vector<std::vector<std::uint8_t>> basis_;
-  std::vector<std::size_t> pivots_;
+  // rank() rows of dim_ bytes in insertion order, then (during an insert)
+  // the candidate row. Each row is normalised (1 at its pivot) and zero at
+  // every other row's pivot.
+  std::vector<std::uint8_t> rows_;
+  std::vector<std::size_t> pivots_;  // pivots_[i]: pivot column of row i
 };
 
 }  // namespace thinair::gf

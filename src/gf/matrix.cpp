@@ -147,19 +147,6 @@ std::size_t Matrix::rank() const {
   return tmp.row_reduce().size();
 }
 
-std::optional<Matrix> Matrix::inverse() const {
-  if (rows_ != cols_) return std::nullopt;
-  Matrix aug = hstack(identity(rows_));
-  const auto pivots = aug.row_reduce();
-  if (pivots.size() != rows_) return std::nullopt;
-  for (std::size_t i = 0; i < rows_; ++i)
-    if (pivots[i] != i) return std::nullopt;  // rank deficiency in left block
-  Matrix out(rows_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < rows_; ++j) out.set(i, j, aug.at(i, cols_ + j));
-  return out;
-}
-
 std::optional<Matrix> Matrix::solve(const Matrix& b) const {
   if (b.rows_ != rows_)
     throw std::invalid_argument("Matrix::solve: rhs row mismatch");

@@ -1,8 +1,8 @@
 #pragma once
 // Dense matrices over GF(2^8) with the linear algebra the protocol needs:
 // multiplication (packet combining), Gaussian elimination (decoding at the
-// terminals), rank (secrecy/equivocation analysis) and inversion (MDS
-// sub-matrix checks).
+// terminals), rank (secrecy/equivocation analysis and MDS sub-matrix
+// checks) and linear solves.
 //
 // Storage is either heap-owned (the default) or carved from a
 // packet::PayloadArena: the per-round coefficient matrices of the encode
@@ -116,9 +116,6 @@ class Matrix {
   [[nodiscard]] bool invertible() const {
     return rows_ == cols_ && rank() == rows_;
   }
-
-  /// Inverse; std::nullopt when singular or non-square.
-  [[nodiscard]] std::optional<Matrix> inverse() const;
 
   /// Solve (*this) * X = B for X. Returns std::nullopt when inconsistent or
   /// underdetermined (the solution must be unique).

@@ -5,26 +5,27 @@
 
 namespace thinair::gf::mds {
 
+void vandermonde_row(std::size_t i, std::span<std::uint8_t> out) {
+  if (out.size() > kMaxColumns)
+    throw std::invalid_argument("mds::vandermonde_row: n > 255");
+  // (alpha^j)^i = alpha^(i*j mod 255): the exponent steps by i per column,
+  // so each entry is one table lookup (no multiply chain, no division).
+  const unsigned step = static_cast<unsigned>(i % 255);
+  unsigned e = 0;
+  for (std::uint8_t& entry : out) {
+    entry = detail::kTables.exp_[e];
+    e += step;
+    if (e >= 255) e -= 255;
+  }
+}
+
 Matrix vandermonde(std::size_t k, std::size_t n) {
   if (k > n) throw std::invalid_argument("mds::vandermonde: k > n");
   if (n > kMaxColumns) throw std::invalid_argument("mds::vandermonde: n > 255");
   Matrix g(k, n);
-  // (alpha^j)^i = alpha^(i*j mod 255): row by row, the exponent steps by
-  // i per column, so each entry is one table lookup (no multiply chain
-  // down each column, no division).
-  for (std::size_t i = 0; i < k; ++i) {
-    const unsigned step = static_cast<unsigned>(i % 255);
-    unsigned e = 0;
-    for (std::uint8_t& entry : g.row(i)) {
-      entry = detail::kTables.exp_[e];
-      e += step;
-      if (e >= 255) e -= 255;
-    }
-  }
+  for (std::size_t i = 0; i < k; ++i) vandermonde_row(i, g.row(i));
   return g;
 }
-
-Matrix vandermonde_square(std::size_t n) { return vandermonde(n, n); }
 
 Matrix cauchy(std::size_t k, std::size_t n) {
   if (k + n > 256) throw std::invalid_argument("mds::cauchy: k + n > 256");

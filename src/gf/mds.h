@@ -15,6 +15,8 @@
 // for any k <= n <= 255 over GF(2^8).
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "gf/matrix.h"
 
@@ -29,8 +31,13 @@ inline constexpr std::size_t kMaxColumns = 255;
 /// linearly independent. Requires k <= n <= 255.
 [[nodiscard]] Matrix vandermonde(std::size_t k, std::size_t n);
 
-/// Square n x n Vandermonde matrix (invertible); vandermonde(n, n).
-[[nodiscard]] Matrix vandermonde_square(std::size_t n);
+/// Row i of every Vandermonde generator with out.size() columns, written
+/// into `out`: out[j] = alpha^(i*j mod 255), the entry vandermonde(k, n)
+/// holds at (i, j) for any k > i. The one place the generator entries are
+/// computed; callers that need only some rows (the pool's per-class
+/// generators, phase 2's H and C) fill them without building the matrix.
+/// Requires out.size() <= 255.
+void vandermonde_row(std::size_t i, std::span<std::uint8_t> out);
 
 /// k x n Cauchy generator: entry (i, j) = 1 / (x_i + y_j) with all
 /// x_i, y_j distinct. Every square submatrix (not just k x k) is

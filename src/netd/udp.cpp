@@ -1,5 +1,6 @@
 #include "netd/udp.h"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -78,9 +79,11 @@ bool UdpSocket::send_to(const sockaddr_in& to,
 }
 
 bool UdpSocket::recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from) {
-  buf.resize(1 << 14);
+  // Receive into uninitialised stack scratch and copy only the datagram:
+  // sizing `buf` to the maximum first would zero-fill 16 KiB per call.
+  std::array<std::uint8_t, 1 << 14> scratch;
   socklen_t len = sizeof(from);
-  const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0,
+  const ssize_t n = ::recvfrom(fd_, scratch.data(), scratch.size(), 0,
                                reinterpret_cast<sockaddr*>(&from), &len);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
@@ -88,7 +91,7 @@ bool UdpSocket::recv_from(std::vector<std::uint8_t>& buf, sockaddr_in& from) {
       return false;
     throw_errno("recvfrom");
   }
-  buf.resize(static_cast<std::size_t>(n));
+  buf.assign(scratch.data(), scratch.data() + n);
   return true;
 }
 

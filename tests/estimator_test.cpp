@@ -3,6 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <numeric>
+
+#include "channel/interference.h"
+#include "channel/rng.h"
+#include "util/ksubset.h"
+
 namespace thinair::core {
 namespace {
 
@@ -141,6 +151,129 @@ TEST(GeometryEstimator, NoFreeCellThrows) {
   EXPECT_THROW(GeometryEstimator(t, {0, 0, 0, 0},
                                  {0, 1, 2, 3, 4, 5, 6, 7, 8}, {1}, 1.0),
                std::invalid_argument);
+}
+
+// Reference copy of the per-bit, per-subset GeometryEstimator the
+// table-driven one replaced: rates from one has() per (receiver, index),
+// and for every k-subset of free cells a sum over the indices of the
+// per-packet miss product.
+struct ReferenceGeometry {
+  std::vector<std::size_t> candidates;
+  double jam_rate = 1.0;
+  double clear_rate = 0.0;
+
+  ReferenceGeometry(const ReceptionTable& table,
+                    const std::vector<std::size_t>& slot_of,
+                    const std::vector<std::size_t>& occupied_cells,
+                    const std::vector<std::size_t>& receiver_cells) {
+    std::array<bool, channel::CellGrid::kCells> occupied{};
+    for (std::size_t c : occupied_cells) occupied[c] = true;
+    for (std::size_t c = 0; c < channel::CellGrid::kCells; ++c)
+      if (!occupied[c]) candidates.push_back(c);
+    const channel::InterferenceSchedule schedule{channel::CellGrid{}};
+    std::size_t jam_missed = 0, jam_total = 0;
+    std::size_t clear_missed = 0, clear_total = 0;
+    for (std::size_t ri = 0; ri < table.receivers().size(); ++ri) {
+      const channel::CellIndex cell{receiver_cells[ri]};
+      for (std::uint32_t i = 0; i < table.universe(); ++i) {
+        const bool jammed = channel::InterferenceSchedule::is_jammed(
+            cell, schedule.pattern(slot_of[i]));
+        const bool missed = !table.has(table.receivers()[ri], i);
+        if (jammed) {
+          ++jam_total;
+          jam_missed += missed ? 1u : 0u;
+        } else {
+          ++clear_total;
+          clear_missed += missed ? 1u : 0u;
+        }
+      }
+    }
+    jam_rate = jam_total == 0 ? 1.0
+                              : static_cast<double>(jam_missed) /
+                                    static_cast<double>(jam_total);
+    clear_rate = clear_total == 0 ? 0.0
+                                  : static_cast<double>(clear_missed) /
+                                        static_cast<double>(clear_total);
+  }
+
+  std::size_t missed_within(const std::vector<std::uint32_t>& indices,
+                            const std::vector<std::size_t>& slot_of,
+                            double safety, std::size_t antennas) const {
+    const channel::InterferenceSchedule schedule{channel::CellGrid{}};
+    const std::size_t k = std::min(antennas, candidates.size());
+    double worst = std::numeric_limits<double>::infinity();
+    std::vector<std::size_t> pick(k);
+    for (std::size_t i = 0; i < k; ++i) pick[i] = i;
+    do {
+      double expected = 0.0;
+      for (std::uint32_t i : indices) {
+        double miss = 1.0;
+        for (std::size_t p : pick) {
+          const bool jammed = channel::InterferenceSchedule::is_jammed(
+              channel::CellIndex{candidates[p]},
+              schedule.pattern(slot_of[i]));
+          miss *= jammed ? jam_rate : clear_rate;
+        }
+        expected += miss;
+      }
+      worst = std::min(worst, expected);
+    } while (util::next_k_subset(pick, candidates.size()));
+    return static_cast<std::size_t>(std::floor(safety * worst + 1e-9));
+  }
+};
+
+TEST(GeometryEstimator, MatchesReferenceOnRandomInputs) {
+  channel::Rng rng(41);
+  std::size_t nonzero = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t universe = 1 + rng.next_below(200);
+    const std::size_t receivers = 1 + rng.next_below(6);
+    std::vector<packet::NodeId> ids;
+    for (std::size_t r = 0; r < receivers; ++r)
+      ids.push_back(T(static_cast<std::uint16_t>(1 + r)));
+    ReceptionTable t(T(0), ids, universe);
+    for (packet::NodeId r : ids) {
+      std::vector<std::uint32_t> got;
+      const std::uint64_t keep = rng.next_below(5);  // in quarters
+      for (std::uint32_t i = 0; i < universe; ++i)
+        if (rng.next_below(4) < keep) got.push_back(i);
+      t.set_received(r, got);
+    }
+    std::vector<std::size_t> slot_of(universe);
+    for (auto& s : slot_of) s = rng.next_below(40);
+    // Terminals occupy 1-8 distinct cells; receivers sit in some of them.
+    std::vector<std::size_t> cells(channel::CellGrid::kCells);
+    std::iota(cells.begin(), cells.end(), std::size_t{0});
+    for (std::size_t i = cells.size() - 1; i > 0; --i)
+      std::swap(cells[i], cells[rng.next_below(i + 1)]);
+    const std::vector<std::size_t> occupied(
+        cells.begin(),
+        cells.begin() + static_cast<std::ptrdiff_t>(1 + rng.next_below(8)));
+    std::vector<std::size_t> receiver_cells(receivers);
+    for (auto& c : receiver_cells)
+      c = occupied[rng.next_below(occupied.size())];
+    const double safety = 0.5 + 0.5 * rng.next_double();
+    const std::size_t antennas = 1 + rng.next_below(3);
+
+    const GeometryEstimator est(t, slot_of, occupied, receiver_cells, safety,
+                                antennas);
+    const ReferenceGeometry ref(t, slot_of, occupied, receiver_cells);
+    ASSERT_EQ(est.candidate_cells(), ref.candidates);
+    EXPECT_EQ(est.jam_rate(), ref.jam_rate);
+    EXPECT_EQ(est.clear_rate(), ref.clear_rate);
+    for (int q = 0; q < 5; ++q) {
+      std::vector<std::uint32_t> indices;
+      const std::uint64_t keep = rng.next_below(5);
+      for (std::uint32_t i = 0; i < universe; ++i)
+        if (rng.next_below(4) < keep) indices.push_back(i);
+      const std::size_t want =
+          ref.missed_within(indices, slot_of, safety, antennas);
+      EXPECT_EQ(est.missed_within(indices, {}), want)
+          << "trial " << trial << " antennas " << antennas;
+      nonzero += want != 0 ? 1u : 0u;
+    }
+  }
+  EXPECT_GT(nonzero, 100u);  // the comparison is not all zeros
 }
 
 TEST(BuildEstimator, DispatchesAllKinds) {

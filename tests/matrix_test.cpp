@@ -133,22 +133,6 @@ TEST(Matrix, RowReduceGivesPivots) {
   EXPECT_EQ(m.at(1, 2), kOne);
 }
 
-TEST(Matrix, InverseRoundTrip) {
-  for (std::uint64_t seed = 10; seed < 15; ++seed) {
-    Matrix a = random_matrix(6, 6, seed);
-    const auto inv = a.inverse();
-    if (!inv.has_value()) continue;  // singular random draw
-    EXPECT_EQ(a.mul(*inv), Matrix::identity(6));
-    EXPECT_EQ(inv->mul(a), Matrix::identity(6));
-  }
-}
-
-TEST(Matrix, InverseOfSingularIsNullopt) {
-  Matrix a(3, 3);  // zero matrix
-  EXPECT_FALSE(a.inverse().has_value());
-  EXPECT_FALSE(Matrix(2, 3).inverse().has_value());  // non-square
-}
-
 TEST(Matrix, SolveUniqueSystem) {
   const Matrix a{{1, 2}, {3, 4}};
   const Matrix x{{7}, {9}};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace thinair::gf::mds {
 namespace {
 
@@ -20,7 +22,7 @@ TEST(Mds, VandermondeShapeAndFirstRow) {
 TEST(Mds, VandermondeEntriesArePowersOfThePoints) {
   // Entry (i, j) = (alpha^j)^i, by repeated multiplication, over the full
   // 255 x 255 range where the exponent i*j wraps mod 255 many times.
-  const Matrix g = vandermonde_square(255);
+  const Matrix g = vandermonde(255, 255);
   for (std::size_t j = 0; j < 255; ++j) {
     const GF256 x = GF256::alpha_pow(static_cast<unsigned>(j));
     GF256 p = kOne;
@@ -35,11 +37,13 @@ TEST(Mds, VandermondePreconditions) {
   EXPECT_THROW(vandermonde(5, 3), std::invalid_argument);
   EXPECT_THROW(vandermonde(1, 256), std::invalid_argument);
   EXPECT_NO_THROW(vandermonde(255, 255));
+  std::array<std::uint8_t, 256> too_wide{};
+  EXPECT_THROW(vandermonde_row(1, too_wide), std::invalid_argument);
 }
 
 TEST(Mds, VandermondeSquareInvertible) {
   for (std::size_t n : {1u, 2u, 5u, 17u, 64u}) {
-    EXPECT_TRUE(vandermonde_square(n).invertible()) << "n=" << n;
+    EXPECT_TRUE(vandermonde(n, n).invertible()) << "n=" << n;
   }
 }
 
@@ -112,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Consecutive-row Vandermonde blocks (rows 0..r-1) restricted to any r
 // columns stay invertible — the z-repair argument in phase 2.
 TEST(Mds, TopRowsAnyColumnsInvertible) {
-  const Matrix v = vandermonde_square(9);
+  const Matrix v = vandermonde(9, 9);
   for (std::size_t r = 1; r <= 4; ++r) {
     std::vector<std::size_t> rows(r);
     for (std::size_t i = 0; i < r; ++i) rows[i] = i;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <tuple>
 
@@ -14,6 +15,7 @@
 #include "core/phase1.h"
 #include "core/phase2.h"
 #include "core/protocol.h"
+#include "gf/kernels.h"
 #include "gf/linear_space.h"
 
 namespace thinair::core {
@@ -206,6 +208,53 @@ TEST(Phase2, RecoverValidatesInputs) {
   if (plan.h.rows() < plan.pool_size) {  // more unknowns than z-packets
     EXPECT_THROW((void)recover_all_y(plan, none, z, 16, f.arena),
                  std::invalid_argument);
+  }
+}
+
+// Restores the dispatched kernel after a test that overrides it.
+struct KernelGuard {
+  ~KernelGuard() { std::ignore = gf::set_active_kernel("auto"); }
+};
+
+// The repair against its definition: a terminal missing any d <= M - L
+// of the y-packets rebuilds exactly the originals from z = H y, for
+// random code shapes and payload lengths (including ones that end in
+// every SIMD kernel's scalar tail), under every kernel. One unknown more
+// than there are z-packets is refused.
+TEST(Phase2, RecoverAllYMatchesReencodingOnEveryKernel) {
+  const KernelGuard guard;
+  channel::Rng rng(2024);
+  for (const gf::Kernel* k : gf::all_kernels()) {
+    ASSERT_TRUE(gf::set_active_kernel(k->name));
+    for (const std::size_t payload : {1u, 7u, 100u, 1000u}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        packet::PayloadArena arena;
+        const std::size_t m = 1 + rng.next_below(255);
+        const std::size_t l = 1 + rng.next_below(m);
+        const Phase2Plan plan = phase2_code(m, l);
+        const Spans y = random_payloads(m, payload, rng.next_u64(), arena);
+        const Spans z = make_z_payloads(plan, y, payload, arena);
+
+        // Erase a random d-subset: d = 0, d = M - L, then random sizes.
+        const std::size_t d = trial == 0   ? 0
+                              : trial == 1 ? m - l
+                                           : rng.next_below(m - l + 1);
+        std::vector<std::size_t> order(m);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        for (std::size_t i = m - 1; i > 0; --i)
+          std::swap(order[i], order[rng.next_below(i + 1)]);
+        Spans own = y;
+        for (std::size_t i = 0; i < d; ++i) own[order[i]] = {};
+        EXPECT_TRUE(same_bytes(recover_all_y(plan, own, z, payload, arena), y))
+            << k->name << " M=" << m << " L=" << l << " d=" << d
+            << " payload=" << payload;
+
+        Spans too_few = y;
+        for (std::size_t i = 0; i <= m - l; ++i) too_few[order[i]] = {};
+        EXPECT_THROW((void)recover_all_y(plan, too_few, z, payload, arena),
+                     std::invalid_argument);
+      }
+    }
   }
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "channel/rng.h"
+
 namespace thinair::core {
 namespace {
 
@@ -92,6 +97,74 @@ TEST(ReceptionTable, LargeUniverseBitmapWords) {
   EXPECT_EQ(t.received_count(T(1)), all.size());
   EXPECT_TRUE(t.has(T(1), 198));
   EXPECT_FALSE(t.has(T(1), 199));
+}
+
+// Reference copies of the bit-by-bit received() and the map-based
+// classes() the single-pass versions replaced, built only on has().
+std::vector<std::uint32_t> reference_received(const ReceptionTable& t,
+                                              packet::NodeId r) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t i = 0; i < t.universe(); ++i)
+    if (t.has(r, i)) out.push_back(i);
+  return out;
+}
+
+std::vector<ReceptionTable::Class> reference_classes(
+    const ReceptionTable& t) {
+  std::map<std::uint64_t, std::vector<std::uint32_t>> by_mask;
+  for (std::uint32_t i = 0; i < t.universe(); ++i) {
+    net::NodeSet members;
+    for (packet::NodeId r : t.receivers())
+      if (t.has(r, i)) members.insert(r);
+    if (!members.empty()) by_mask[members.mask()].push_back(i);
+  }
+  std::vector<ReceptionTable::Class> out;
+  for (auto& [mask, indices] : by_mask)
+    out.push_back({net::NodeSet(mask), std::move(indices)});
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.members.size() != b.members.size())
+      return a.members.size() > b.members.size();
+    return a.members.mask() < b.members.mask();
+  });
+  return out;
+}
+
+TEST(ReceptionTable, ClassesAndReceivedMatchReference) {
+  channel::Rng rng(17);
+  for (const std::size_t universe : {1u, 63u, 64u, 65u, 200u}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      // A sparse roster of 1-8 distinct receiver ids in [1, 63].
+      std::vector<packet::NodeId> receivers;
+      const std::size_t count = 1 + rng.next_below(8);
+      while (receivers.size() < count) {
+        const packet::NodeId id =
+            T(static_cast<std::uint16_t>(1 + rng.next_below(63)));
+        if (std::find(receivers.begin(), receivers.end(), id) ==
+            receivers.end())
+          receivers.push_back(id);
+      }
+      ReceptionTable t(T(0), receivers, universe);
+      for (packet::NodeId r : receivers) {
+        // Some reports are empty; the rest keep each index with a
+        // per-receiver probability, so class sizes vary.
+        std::vector<std::uint32_t> got;
+        const std::uint64_t keep = rng.next_below(5);  // in quarters
+        for (std::uint32_t i = 0; i < universe; ++i)
+          if (rng.next_below(4) < keep) got.push_back(i);
+        t.set_received(r, got);
+      }
+
+      for (packet::NodeId r : receivers)
+        EXPECT_EQ(t.received(r), reference_received(t, r));
+      const auto got = t.classes();
+      const auto want = reference_classes(t);
+      ASSERT_EQ(got.size(), want.size()) << "universe " << universe;
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].members, want[c].members) << "class " << c;
+        EXPECT_EQ(got[c].indices, want[c].indices) << "class " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

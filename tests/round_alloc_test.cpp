@@ -4,17 +4,22 @@
 // counts allocation *calls*. The medium's role queries, a SimMedium
 // transmit and a reliable broadcast must make none, and open_round's
 // count must not depend on N: whatever a round allocates is per round or
-// per receiver, never per x-packet.
+// per receiver, never per x-packet. The same holds one layer up: the
+// phase-2 repair's count does not depend on how many y-packets it
+// repairs, nor Eve's view's on how many x-packets she observed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "analysis/eve_view.h"
 #include "channel/erasure.h"
 #include "channel/rng.h"
 #include "channel/testbed_channel.h"
+#include "core/phase2.h"
 #include "core/round.h"
 #include "net/medium.h"
 #include "net/reliable.h"
@@ -134,6 +139,55 @@ TEST(RoundAlloc, OpenRoundAllocationsDoNotGrowWithN) {
   const std::int64_t at_180 = round_allocs(180);
   EXPECT_EQ(at_90, at_180);
   EXPECT_GT(at_90, 0);  // the round context itself is still allocated
+#else
+  GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
+#endif
+}
+
+TEST(RoundAlloc, RecoverAllYAllocationsDoNotGrowWithUnknowns) {
+#if THINAIR_ALLOC_COUNTING
+  const std::size_t m = 100, l = 20, payload = packet::kPaperPayloadBytes;
+  const core::Phase2Plan plan = core::phase2_code(m, l);
+  packet::PayloadArena arena;
+  channel::Rng rng(13);
+  std::vector<packet::ConstByteSpan> y(m);
+  for (auto& p : y) {
+    const packet::ByteSpan body = arena.alloc_uninit(payload);
+    rng.fill(body);
+    p = body;
+  }
+  const std::vector<packet::ConstByteSpan> z =
+      core::make_z_payloads(plan, y, payload, arena);
+
+  const auto repair_allocs = [&](std::size_t d) {
+    std::vector<packet::ConstByteSpan> own = y;
+    for (std::size_t j = 0; j < d; ++j) own[(j * 37) % m] = {};
+    const packet::PayloadArena::Mark mark = arena.mark();
+    const std::int64_t calls = allocs_during([&] {
+      const auto full = core::recover_all_y(plan, own, z, payload, arena);
+      EXPECT_TRUE(std::equal(full[0].begin(), full[0].end(), y[0].begin(),
+                             y[0].end()));
+    });
+    arena.rewind(mark);
+    return calls;
+  };
+
+  (void)repair_allocs(64);  // warm the arena to the larger repair
+  EXPECT_EQ(repair_allocs(8), repair_allocs(64));
+#else
+  GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
+#endif
+}
+
+TEST(RoundAlloc, EveObservationsAllocationsDoNotGrowWithCount) {
+#if THINAIR_ALLOC_COUNTING
+  const auto observe_allocs = [](std::uint32_t count) {
+    analysis::EveView eve(200);
+    std::vector<std::uint32_t> indices;
+    for (std::uint32_t i = 0; i < count; ++i) indices.push_back(2 * i);
+    return allocs_during([&] { eve.observe_x(indices); });
+  };
+  EXPECT_EQ(observe_allocs(10), observe_allocs(100));
 #else
   GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
 #endif
