@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "channel/geometry.h"
@@ -43,39 +44,40 @@ std::size_t FractionEstimator::missed_within(
 }
 
 KSubsetEstimator::KSubsetEstimator(const ReceptionTable& table, std::size_t k)
-    : table_(table), k_(k) {
+    : receivers_(table.receivers()), k_(k), holders_(table.universe(), 0) {
   if (k == 0) throw std::invalid_argument("KSubsetEstimator: k == 0");
+  if (receivers_.size() > 64)
+    throw std::invalid_argument("KSubsetEstimator: more than 64 receivers");
+  for (std::size_t r = 0; r < receivers_.size(); ++r)
+    for (std::uint32_t i : table.received(receivers_[r]))
+      holders_[i] |= std::uint64_t{1} << r;
 }
 
 std::size_t KSubsetEstimator::missed_within(
     const std::vector<std::uint32_t>& indices,
     const net::NodeSet& exempt) const {
-  // Adversary stand-ins: every receiver not exempted.
-  std::vector<packet::NodeId> candidates;
-  for (packet::NodeId r : table_.receivers())
-    if (!exempt.contains(r)) candidates.push_back(r);
-  if (candidates.empty()) return 0;  // nothing to compare against: assume Eve got all
-
-  const std::size_t k = std::min(k_, candidates.size());
+  // Adversary stand-ins: every receiver not exempted, by position.
+  std::array<std::size_t, 64> candidates{};
+  std::size_t count = 0;
+  for (std::size_t r = 0; r < receivers_.size(); ++r)
+    if (!exempt.contains(receivers_[r])) candidates[count++] = r;
+  if (count == 0) return 0;  // nothing to compare against: assume Eve got all
 
   // Enumerate k-subsets; for each, count indices missed by *all* members
   // (the subset's union reception is what a k-antenna Eve would hold).
+  std::array<std::size_t, 64> pick_storage{};
+  const std::span<std::size_t> pick(pick_storage.data(),
+                                    std::min(k_, count));
+  std::iota(pick.begin(), pick.end(), std::size_t{0});
   std::size_t best = indices.size();
-  std::vector<std::size_t> pick(k);
-  for (std::size_t i = 0; i < k; ++i) pick[i] = i;
   do {
+    std::uint64_t members = 0;
+    for (std::size_t p : pick) members |= std::uint64_t{1} << candidates[p];
     std::size_t missed = 0;
-    for (std::uint32_t idx : indices) {
-      bool any_has = false;
-      for (std::size_t p : pick)
-        if (table_.has(candidates[p], idx)) {
-          any_has = true;
-          break;
-        }
-      if (!any_has) ++missed;
-    }
+    for (std::uint32_t idx : indices)
+      if (idx >= holders_.size() || (holders_[idx] & members) == 0) ++missed;
     best = std::min(best, missed);
-  } while (util::next_k_subset(pick, candidates.size()));
+  } while (util::next_k_subset(pick, count));
   return best;
 }
 
@@ -122,23 +124,26 @@ SlotFractionEstimator::SlotFractionEstimator(const ReceptionTable& table,
   std::size_t slots = 0;
   for (std::size_t s : slot_of_) slots = std::max(slots, s + 1);
 
-  // Per slot, per receiver: miss count within the slot's packets.
+  // Per slot, per receiver: miss count within the slot's packets, from
+  // one read of each receiver's reception set.
   std::vector<std::size_t> slot_size(slots, 0);
   for (std::size_t s : slot_of_) ++slot_size[s];
 
-  delta_.assign(slots, 0.0);
-  for (std::size_t s = 0; s < slots; ++s) {
-    if (slot_size[s] == 0 || table.receivers().empty()) continue;
-    double min_rate = 1.0;
-    for (packet::NodeId j : table.receivers()) {
-      std::size_t missed = 0;
-      for (std::uint32_t i = 0; i < table.universe(); ++i)
-        if (slot_of_[i] == s && !table.has(j, i)) ++missed;
-      min_rate = std::min(min_rate, static_cast<double>(missed) /
-                                        static_cast<double>(slot_size[s]));
-    }
-    delta_[s] = safety * min_rate;
+  std::vector<double> min_rate(slots, 1.0);
+  std::vector<std::size_t> got(slots);
+  for (packet::NodeId j : table.receivers()) {
+    std::fill(got.begin(), got.end(), std::size_t{0});
+    for (std::uint32_t i : table.received(j)) ++got[slot_of_[i]];
+    for (std::size_t s = 0; s < slots; ++s)
+      if (slot_size[s] != 0)
+        min_rate[s] =
+            std::min(min_rate[s], static_cast<double>(slot_size[s] - got[s]) /
+                                      static_cast<double>(slot_size[s]));
   }
+  delta_.assign(slots, 0.0);
+  if (!table.receivers().empty())
+    for (std::size_t s = 0; s < slots; ++s)
+      if (slot_size[s] != 0) delta_[s] = safety * min_rate[s];
 }
 
 std::size_t SlotFractionEstimator::missed_within(

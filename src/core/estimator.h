@@ -78,7 +78,8 @@ class FractionEstimator final : public EveBoundEstimator {
 
 /// Empirical bound: pretend every k-subset of the other terminals is Eve
 /// (their combined receptions = a k-antenna adversary) and take the worst
-/// case. The table must outlive the estimator.
+/// case. The constructor reads each receiver's reception set once; later
+/// changes to the table are not seen. At most 64 receivers.
 class KSubsetEstimator final : public EveBoundEstimator {
  public:
   KSubsetEstimator(const ReceptionTable& table, std::size_t k);
@@ -91,8 +92,10 @@ class KSubsetEstimator final : public EveBoundEstimator {
   [[nodiscard]] std::size_t k() const { return k_; }
 
  private:
-  const ReceptionTable& table_;
+  std::vector<packet::NodeId> receivers_;
   std::size_t k_;
+  // holders_[i]: bit r set when receivers_[r] received x-packet i.
+  std::vector<std::uint64_t> holders_;
 };
 
 /// Empirical fraction bound: measure each pretend-Eve's overall miss rate,
@@ -142,7 +145,7 @@ class LooFractionEstimator final : public EveBoundEstimator {
 class SlotFractionEstimator final : public EveBoundEstimator {
  public:
   /// `slot_of[i]` = interference slot in which x_i was transmitted. The
-  /// table must outlive the estimator.
+  /// constructor reads each receiver's reception set once.
   SlotFractionEstimator(const ReceptionTable& table,
                         std::vector<std::size_t> slot_of, double safety);
 

@@ -15,10 +15,12 @@ packet::Announcement announcement_from(const gf::Matrix& rows) {
   packet::Announcement a;
   a.combinations.reserve(rows.rows());
   for (std::size_t i = 0; i < rows.rows(); ++i) {
-    packet::Combination combo;
+    std::vector<packet::Term> terms;
+    terms.reserve(rows.cols());
     for (std::size_t j = 0; j < rows.cols(); ++j)
-      combo.add(static_cast<std::uint32_t>(j), rows.at(i, j));
-    a.combinations.push_back(std::move(combo));
+      if (!rows.at(i, j).is_zero())
+        terms.push_back({static_cast<std::uint32_t>(j), rows.at(i, j)});
+    a.combinations.emplace_back(std::move(terms));
   }
   return a;
 }

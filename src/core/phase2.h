@@ -10,8 +10,9 @@
 //
 // Construction: take the M x M (invertible) Vandermonde matrix V over the
 // y-indices. H = the first M - L rows defines the z-packets, C = the last
-// L rows defines the s-packets. Both are filled row by row from the GF(2^8)
-// exp table (gf::mds::vandermonde_row); V itself is never built.
+// L rows defines the s-packets. Both are copied row by row from the
+// compile-time 255 x 255 Vandermonde table (gf::mds::vandermonde_row); V
+// itself is never built.
 //  - Repair: any M - L columns of H are independent (Vandermonde rows
 //    0..M-L-1), so a terminal with d <= M - L unknowns solves them from
 //    the z-contents.
@@ -19,7 +20,13 @@
 //    Eve, conditioning on z = H y leaves s = C y exactly uniform: the
 //    z-broadcast "redistributes" secret bits without leaking the s-packets
 //    (the paper's key point: phase 2 does not increase M_i, it reshapes it).
-
+//
+// A terminal's step (core::receiver_round) does not run steps 2 and 3 one
+// after the other: it evaluates its s-packets straight from its own
+// y-packets and the z-contents, one linear map whose coefficients come
+// from the public (M, L) alone, and never forms the missing y-packets.
+// recover_all_y followed by make_s_payloads is the same map in two steps,
+// kept as the reference the tests hold the direct decode to.
 #include <span>
 #include <vector>
 

@@ -20,9 +20,9 @@
 //        n_T = min(cap_T, min over members' remaining ceiling)
 //      y-packets to class T.
 //   4. Encode each class with an n_T x |X_T| Vandermonde MDS generator
-//      over its own x-packets. Each y-row's coefficients are read straight
-//      from the GF(2^8) exp table (gf::mds::vandermonde_row), row by row;
-//      no generator matrix is built.
+//      over its own x-packets. Each y-row's coefficients are copied
+//      from the compile-time Vandermonde table (gf::mds::vandermonde_row),
+//      row by row; no generator matrix is built.
 //
 // Why this is jointly secret when the bounds hold: classes have disjoint
 // x-support, so the pool's combination matrix is block-diagonal across

@@ -9,9 +9,9 @@
 //   receiver  holds its own x-packets and the public broadcasts only.
 //             receiver_round() derives which y-packets it can rebuild from
 //             the y-announcement (every x-packet of the combination was
-//             received), repairs the rest from the z contents, rebuilds
-//             the phase-2 code from the public sizes M and L, and
-//             evaluates the s-packets.
+//             received) and decodes the s-packets directly from those and
+//             the z contents: the phase-2 code follows from the public
+//             sizes M and L, and the missing y-packets are never formed.
 //
 // The sessions around it only move bytes: GroupSecretSession and
 // UnicastSession over the simulated net::Medium, netd::NodeSession over the
@@ -88,8 +88,11 @@ struct ReceiverOutput {
 
 /// The whole round from a terminal's side: the L s-payloads, from the
 /// public announcements, the own x-spans and the z-contents in sequence
-/// order. The step rebuilds Alice's code, phase2_code(M, L), from the
-/// announcements' lengths.
+/// order. With d unknown y-packets, a Gauss-Jordan on d x (d + L)
+/// coefficient bytes and one fused encode of L * M payload multiply-adds
+/// give the bytes that make_s_payloads(plan, recover_all_y(...)) gives
+/// with Alice's code, phase2_code(M, L), taken from the announcements'
+/// lengths.
 [[nodiscard]] ReceiverOutput receiver_round(
     const packet::Announcement& y_announcement,
     const packet::Announcement& s_announcement,

@@ -9,14 +9,15 @@
 //   - "does this functional add information?" is a residual test,
 //   - equivocation queries reduce to rank arithmetic.
 //
-// Storage: the basis rows sit in one contiguous buffer, dim bytes each, in
-// insertion order, with the pivot column of each row beside it. The rank
-// never exceeds dim, so the buffer is reserved for dim rows on the first
-// insert and never grows again; a candidate row is reduced in place in
-// the next free slot, so no later insert allocates. Row order does not matter
-// to elimination (XOR accumulation is order-independent) and the reduced
-// row-echelon basis of a space is unique, so basis() sorts by pivot on
-// demand and returns the same matrix whatever the insertion order.
+// Storage: the basis rows sit in one dim x dim Matrix in insertion order
+// (so on its 64-byte-aligned, 64-byte-multiple row stride), with the
+// pivot column of each row beside it. The rank never exceeds dim, so the
+// matrix is allocated on the first insert and never grows again; a
+// candidate row is reduced in place in the next free row, so no later
+// insert allocates. Row order does not matter to elimination (XOR
+// accumulation is order-independent) and the reduced row-echelon basis of
+// a space is unique, so basis() sorts by pivot on demand and returns the
+// same matrix whatever the insertion order.
 
 #include <cstddef>
 #include <span>
@@ -66,14 +67,15 @@ class LinearSpace {
   /// when it is independent, commit it as a new basis row.
   bool insert_candidate();
 
-  /// Append a zeroed candidate row after the basis and return it.
+  /// Zero the candidate slot after the basis and return it.
   std::uint8_t* new_slot();
 
   std::size_t dim_;
-  // rank() rows of dim_ bytes in insertion order, then (during an insert)
-  // the candidate row. Each row is normalised (1 at its pivot) and zero at
-  // every other row's pivot.
-  std::vector<std::uint8_t> rows_;
+  // Rows [0, rank()) are the basis in insertion order, then (during an
+  // insert) the candidate row. Each basis row is normalised (1 at its
+  // pivot) and zero at every other row's pivot. Empty until the first
+  // insert, then dim_ x dim_.
+  Matrix rows_;
   std::vector<std::size_t> pivots_;  // pivots_[i]: pivot column of row i
 };
 

@@ -1,5 +1,6 @@
 #include "gf/matrix.h"
 
+#include <cstdint>
 #include <ostream>
 #include <stdexcept>
 
@@ -8,16 +9,25 @@
 
 namespace thinair::gf {
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<unsigned>> rows) {
-  rows_ = rows.size();
-  cols_ = rows_ == 0 ? 0 : rows.begin()->size();
-  owned_.reserve(rows_ * cols_);
-  for (const auto& r : rows) {
-    if (r.size() != cols_)
+Matrix::Matrix(std::size_t rows, std::size_t cols, Uninit)
+    : rows_(rows), cols_(cols), stride_(stride_for(cols)) {
+  if (rows_ * stride_ == 0) return;
+  owned_ = std::make_unique_for_overwrite<std::uint8_t[]>(rows_ * stride_ +
+                                                          kRowAlign - 1);
+  const auto base = reinterpret_cast<std::uintptr_t>(owned_.get());
+  data_ = owned_.get() + ((kRowAlign - base % kRowAlign) % kRowAlign);
+}
+
+Matrix::Matrix(std::initializer_list<std::initializer_list<unsigned>> rows)
+    : Matrix(rows.size(), rows.size() == 0 ? 0 : rows.begin()->size(),
+             Uninit{}) {
+  std::size_t r = 0;
+  for (const auto& values : rows) {
+    if (values.size() != cols_)
       throw std::invalid_argument("Matrix: ragged initializer");
-    for (unsigned v : r) owned_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* dst = row_ptr(r++);
+    for (unsigned v : values) *dst++ = static_cast<std::uint8_t>(v);
   }
-  data_ = owned_.data();
 }
 
 Matrix Matrix::identity(std::size_t n) {
@@ -71,10 +81,11 @@ Matrix Matrix::vstack(const Matrix& below) const {
   if (below.empty()) return *this;
   if (cols_ != below.cols_)
     throw std::invalid_argument("Matrix::vstack: column mismatch");
-  Matrix out(rows_ + below.rows_, cols_);
-  std::copy(data_, data_ + rows_ * cols_, out.data_);
-  std::copy(below.data_, below.data_ + below.rows_ * below.cols_,
-            out.data_ + rows_ * cols_);
+  Matrix out(rows_ + below.rows_, cols_, Uninit{});
+  for (std::size_t r = 0; r < rows_; ++r)
+    std::copy_n(row_ptr(r), cols_, out.row_ptr(r));
+  for (std::size_t r = 0; r < below.rows_; ++r)
+    std::copy_n(below.row_ptr(r), cols_, out.row_ptr(rows_ + r));
   return out;
 }
 

@@ -11,11 +11,17 @@
 // outlive a reset()/rewind() past its span; copying one (copy ctor,
 // assignment, or any derived-matrix method) always yields a heap-owning
 // result, so only the original aliases the arena.
+//
+// Either way every row starts on a 64-byte boundary, at a stride of
+// cols() rounded up to 64: the GF kernels stream whole rows, and a row's
+// masked SIMD tail store then never shares a cache line with the next
+// row's first loads.
 
 #include <algorithm>
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -26,38 +32,46 @@
 
 namespace thinair::gf {
 
-/// Row-major dense matrix over GF(2^8).
+/// Row-major dense matrix over GF(2^8). Rows sit 64-byte aligned at a
+/// stride of cols() rounded up to 64; row() spans are cols() long and the
+/// padding between rows is never read.
 class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), owned_(rows * cols, std::uint8_t{0}),
-        data_(owned_.data()) {}
+      : Matrix(rows, cols, Uninit{}) {
+    std::fill_n(data_, rows_ * stride_, std::uint8_t{0});
+  }
 
-  /// Arena-backed: rows*cols zeroed bytes bump-allocated from `arena`.
+  /// Arena-backed: zeroed rows bump-allocated from `arena`, padding
+  /// included.
   Matrix(std::size_t rows, std::size_t cols, packet::PayloadArena& arena)
-      : rows_(rows), cols_(cols), data_(arena.alloc(rows * cols).data()) {}
+      : rows_(rows), cols_(cols), stride_(stride_for(cols)),
+        data_(arena.alloc(rows * stride_).data()) {}
 
-  Matrix(const Matrix& o)
-      : rows_(o.rows_), cols_(o.cols_),
-        owned_(o.data_, o.data_ + o.rows_ * o.cols_), data_(owned_.data()) {}
+  Matrix(const Matrix& o) : Matrix(o.rows_, o.cols_, Uninit{}) {
+    for (std::size_t r = 0; r < rows_; ++r)
+      std::copy_n(o.row_ptr(r), cols_, row_ptr(r));
+  }
   Matrix& operator=(const Matrix& o) {
     if (this != &o) *this = Matrix(o);  // copy then move
     return *this;
   }
+  // Moving the owner keeps its buffer, so data_ stays valid either way.
   Matrix(Matrix&& o) noexcept
-      : rows_(o.rows_), cols_(o.cols_), owned_(std::move(o.owned_)),
-        data_(owned_.empty() ? o.data_ : owned_.data()) {
-    o.rows_ = o.cols_ = 0;
+      : rows_(o.rows_), cols_(o.cols_), stride_(o.stride_),
+        owned_(std::move(o.owned_)), data_(o.data_) {
+    o.rows_ = o.cols_ = o.stride_ = 0;
     o.data_ = nullptr;
   }
   Matrix& operator=(Matrix&& o) noexcept {
     if (this != &o) {
       rows_ = o.rows_;
       cols_ = o.cols_;
+      stride_ = o.stride_;
       owned_ = std::move(o.owned_);
-      data_ = owned_.empty() ? o.data_ : owned_.data();
-      o.rows_ = o.cols_ = 0;
+      data_ = o.data_;
+      o.rows_ = o.cols_ = o.stride_ = 0;
       o.data_ = nullptr;
     }
     return *this;
@@ -77,17 +91,15 @@ class Matrix {
   [[nodiscard]] bool empty() const { return rows_ == 0 || cols_ == 0; }
 
   [[nodiscard]] GF256 at(std::size_t r, std::size_t c) const {
-    return GF256(data_[r * cols_ + c]);
+    return GF256(row_ptr(r)[c]);
   }
-  void set(std::size_t r, std::size_t c, GF256 v) {
-    data_[r * cols_ + c] = v.value();
-  }
+  void set(std::size_t r, std::size_t c, GF256 v) { row_ptr(r)[c] = v.value(); }
 
   [[nodiscard]] std::span<const std::uint8_t> row(std::size_t r) const {
-    return {data_ + r * cols_, cols_};
+    return {row_ptr(r), cols_};
   }
   [[nodiscard]] std::span<std::uint8_t> row(std::size_t r) {
-    return {data_ + r * cols_, cols_};
+    return {row_ptr(r), cols_};
   }
 
   /// C = (*this) * rhs. Requires cols() == rhs.rows(). Runs through the
@@ -122,15 +134,38 @@ class Matrix {
   [[nodiscard]] std::optional<Matrix> solve(const Matrix& b) const;
 
   friend bool operator==(const Matrix& a, const Matrix& b) {
-    return a.rows_ == b.rows_ && a.cols_ == b.cols_ &&
-           std::equal(a.data_, a.data_ + a.rows_ * a.cols_, b.data_);
+    if (a.rows_ != b.rows_ || a.cols_ != b.cols_) return false;
+    for (std::size_t r = 0; r < a.rows_; ++r)
+      if (!std::equal(a.row_ptr(r), a.row_ptr(r) + a.cols_, b.row_ptr(r)))
+        return false;
+    return true;
   }
 
  private:
+  // Row alignment and stride granularity: one cache line and one AVX-512
+  // vector.
+  static constexpr std::size_t kRowAlign = 64;
+
+  struct Uninit {};
+  /// Heap-owned with rows left unwritten: the buffer over-allocates by
+  /// kRowAlign - 1 bytes so its first row can start aligned.
+  Matrix(std::size_t rows, std::size_t cols, Uninit);
+
+  static constexpr std::size_t stride_for(std::size_t cols) {
+    return (cols + kRowAlign - 1) & ~(kRowAlign - 1);
+  }
+  [[nodiscard]] const std::uint8_t* row_ptr(std::size_t r) const {
+    return data_ + r * stride_;
+  }
+  [[nodiscard]] std::uint8_t* row_ptr(std::size_t r) {
+    return data_ + r * stride_;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::uint8_t> owned_;  // empty when arena-backed
-  std::uint8_t* data_ = nullptr;     // owned_.data() or the arena span
+  std::size_t stride_ = 0;
+  std::unique_ptr<std::uint8_t[]> owned_;  // null when arena-backed
+  std::uint8_t* data_ = nullptr;  // aligned into owned_, or the arena span
 };
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);

@@ -1,22 +1,46 @@
 #include "gf/mds.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
 namespace thinair::gf::mds {
 
+namespace {
+
+// Entry (i, j) of the 255 x 255 Vandermonde matrix, alpha^(i*j mod 255).
+// The exponent steps by i per column, so each entry is one exp lookup.
+struct VandermondeTable {
+  std::array<std::array<std::uint8_t, kMaxColumns>, kMaxColumns> rows{};
+};
+
+consteval VandermondeTable make_vandermonde_table() {
+  VandermondeTable t{};
+  for (unsigned i = 0; i < kMaxColumns; ++i) {
+    unsigned e = 0;
+    for (unsigned j = 0; j < kMaxColumns; ++j) {
+      t.rows[i][j] = detail::kTables.exp_[e];
+      e += i;
+      if (e >= 255) e -= 255;
+    }
+  }
+  return t;
+}
+
+constexpr VandermondeTable kVandermonde = make_vandermonde_table();
+
+}  // namespace
+
+std::span<const std::uint8_t, kMaxColumns> vandermonde_entries(
+    std::size_t i) {
+  return kVandermonde.rows[i % kMaxColumns];
+}
+
 void vandermonde_row(std::size_t i, std::span<std::uint8_t> out) {
   if (out.size() > kMaxColumns)
     throw std::invalid_argument("mds::vandermonde_row: n > 255");
-  // (alpha^j)^i = alpha^(i*j mod 255): the exponent steps by i per column,
-  // so each entry is one table lookup (no multiply chain, no division).
-  const unsigned step = static_cast<unsigned>(i % 255);
-  unsigned e = 0;
-  for (std::uint8_t& entry : out) {
-    entry = detail::kTables.exp_[e];
-    e += step;
-    if (e >= 255) e -= 255;
-  }
+  std::copy_n(vandermonde_entries(i).begin(), out.size(), out.begin());
 }
 
 Matrix vandermonde(std::size_t k, std::size_t n) {

@@ -12,7 +12,9 @@
 //
 // Two classic constructions are provided: Vandermonde matrices (rows are
 // powers of distinct evaluation points) and Cauchy matrices. Both are MDS
-// for any k <= n <= 255 over GF(2^8).
+// for any k <= n <= 255 over GF(2^8). Every Vandermonde entry the protocol
+// uses is read from one 255 x 255 table built at compile time (as
+// gf256.h's exp/log tables are), so a row costs one copy.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,12 +33,18 @@ inline constexpr std::size_t kMaxColumns = 255;
 /// linearly independent. Requires k <= n <= 255.
 [[nodiscard]] Matrix vandermonde(std::size_t k, std::size_t n);
 
-/// Row i of every Vandermonde generator with out.size() columns, written
-/// into `out`: out[j] = alpha^(i*j mod 255), the entry vandermonde(k, n)
-/// holds at (i, j) for any k > i. The one place the generator entries are
-/// computed; callers that need only some rows (the pool's per-class
-/// generators, phase 2's H and C) fill them without building the matrix.
-/// Requires out.size() <= 255.
+/// Row i of the 255 x 255 Vandermonde matrix: entry j = alpha^(i*j mod
+/// 255), so row i equals row i mod 255. The matrix is symmetric, so the
+/// row is also column i. Read from one table built at compile time; the
+/// one place the generator entries are defined.
+[[nodiscard]] std::span<const std::uint8_t, kMaxColumns> vandermonde_entries(
+    std::size_t i);
+
+/// Row i of every Vandermonde generator with out.size() columns, copied
+/// into `out`: the first out.size() entries of vandermonde_entries(i), the
+/// entries vandermonde(k, n) holds in row i for any k > i. Callers that
+/// need only some rows (the pool's per-class generators, phase 2's H and
+/// C) fill them without building the matrix. Requires out.size() <= 255.
 void vandermonde_row(std::size_t i, std::span<std::uint8_t> out);
 
 /// k x n Cauchy generator: entry (i, j) = 1 / (x_i + y_j) with all

@@ -7,7 +7,10 @@ namespace thinair::packet {
 
 namespace {
 
-constexpr std::size_t kAlign = 16;  // SIMD-kernel friendly
+// One cache line, and one AVX-512 vector: a span starts on its own line,
+// so a kernel's masked tail store into one span never shares a line with
+// the first loads of the next.
+constexpr std::size_t kAlign = 64;
 
 constexpr std::size_t align_up(std::size_t v) {
   return (v + (kAlign - 1)) & ~(kAlign - 1);

@@ -9,7 +9,9 @@
 // number of large blocks: allocation is a bump of a cursor, deallocation
 // is a single reset() at the next round boundary, and payloads that are
 // combined together sit contiguously in memory for the GF kernels
-// (gf/kernels.h) to stream over.
+// (gf/kernels.h) to stream over. Every span starts on a 64-byte boundary
+// (a cache line and an AVX-512 vector), so consecutive payloads and
+// gf::Matrix rows never share a line.
 //
 // Lifetime rules:
 //   - spans stay valid until reset() / rewind() past them (blocks are
@@ -41,7 +43,7 @@ class PayloadArena {
   PayloadArena(PayloadArena&&) noexcept = default;
   PayloadArena& operator=(PayloadArena&&) noexcept = default;
 
-  /// `n` zero-initialised bytes, 16-byte aligned. n == 0 returns an empty
+  /// `n` zero-initialised bytes, 64-byte aligned. n == 0 returns an empty
   /// span (never a null-deref hazard: empty spans are the arena's "no
   /// payload" representation).
   ByteSpan alloc(std::size_t n);

@@ -79,6 +79,16 @@ TEST(KSubsetEstimator, KZeroThrows) {
   EXPECT_THROW(KSubsetEstimator(t, 0), std::invalid_argument);
 }
 
+// Subsets are receiver bitmasks of one word: a 65th receiver is refused.
+TEST(KSubsetEstimator, MoreThan64ReceiversThrows) {
+  std::vector<packet::NodeId> ids;
+  for (std::uint16_t v = 1; v <= 64; ++v) ids.push_back(T(v));
+  EXPECT_NO_THROW(KSubsetEstimator(ReceptionTable(T(0), ids, 4), 1));
+  ids.push_back(T(65));
+  EXPECT_THROW(KSubsetEstimator(ReceptionTable(T(0), ids, 4), 1),
+               std::invalid_argument);
+}
+
 TEST(LooFractionEstimator, UsesWorstMissRate) {
   const ReceptionTable t = table3();
   const LooFractionEstimator est(t, 1.0);
@@ -274,6 +284,120 @@ TEST(GeometryEstimator, MatchesReferenceOnRandomInputs) {
     }
   }
   EXPECT_GT(nonzero, 100u);  // the comparison is not all zeros
+}
+
+// A random reception table: 1-6 receivers (ids 1..), each keeping every
+// x-packet with a probability drawn in quarters, so empty and full
+// receptions both occur.
+ReceptionTable random_table(channel::Rng& rng) {
+  const std::size_t universe = 1 + rng.next_below(200);
+  const std::size_t receivers = 1 + rng.next_below(6);
+  std::vector<packet::NodeId> ids;
+  for (std::size_t r = 0; r < receivers; ++r)
+    ids.push_back(T(static_cast<std::uint16_t>(1 + r)));
+  ReceptionTable t(T(0), ids, universe);
+  for (packet::NodeId r : ids) {
+    std::vector<std::uint32_t> got;
+    const std::uint64_t keep = rng.next_below(5);
+    for (std::uint32_t i = 0; i < universe; ++i)
+      if (rng.next_below(4) < keep) got.push_back(i);
+    t.set_received(r, got);
+  }
+  return t;
+}
+
+std::vector<std::uint32_t> random_indices(channel::Rng& rng,
+                                          std::size_t universe) {
+  std::vector<std::uint32_t> indices;
+  const std::uint64_t keep = rng.next_below(5);
+  for (std::uint32_t i = 0; i < universe; ++i)
+    if (rng.next_below(4) < keep) indices.push_back(i);
+  return indices;
+}
+
+// The k-subset bound from its definition, one has() per (index, member).
+std::size_t reference_ksubset(const ReceptionTable& t, std::size_t k_antennas,
+                              const std::vector<std::uint32_t>& indices,
+                              const net::NodeSet& exempt) {
+  std::vector<packet::NodeId> candidates;
+  for (packet::NodeId r : t.receivers())
+    if (!exempt.contains(r)) candidates.push_back(r);
+  if (candidates.empty()) return 0;
+  std::vector<std::size_t> pick(std::min(k_antennas, candidates.size()));
+  std::iota(pick.begin(), pick.end(), std::size_t{0});
+  std::size_t best = indices.size();
+  do {
+    std::size_t missed = 0;
+    for (std::uint32_t idx : indices)
+      if (std::none_of(pick.begin(), pick.end(), [&](std::size_t p) {
+            return t.has(candidates[p], idx);
+          }))
+        ++missed;
+    best = std::min(best, missed);
+  } while (util::next_k_subset(pick, candidates.size()));
+  return best;
+}
+
+TEST(KSubsetEstimator, MatchesReferenceOnRandomInputs) {
+  channel::Rng rng(43);
+  std::size_t nonzero = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const ReceptionTable t = random_table(rng);
+    const std::size_t k = 1 + rng.next_below(4);
+    const KSubsetEstimator est(t, k);
+    for (int q = 0; q < 5; ++q) {
+      std::vector<std::uint32_t> indices = random_indices(rng, t.universe());
+      if (q == 0) indices.push_back(static_cast<std::uint32_t>(t.universe()));
+      net::NodeSet exempt;
+      for (packet::NodeId r : t.receivers())
+        if (rng.next_below(3) == 0) exempt.insert(r);
+      const std::size_t want = reference_ksubset(t, k, indices, exempt);
+      EXPECT_EQ(est.missed_within(indices, exempt), want)
+          << "trial " << trial << " k " << k;
+      nonzero += want != 0 ? 1u : 0u;
+    }
+  }
+  EXPECT_GT(nonzero, 100u);  // the comparison is not all zeros
+}
+
+TEST(SlotFractionEstimator, MatchesReferenceOnRandomInputs) {
+  channel::Rng rng(44);
+  std::size_t nonzero = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const ReceptionTable t = random_table(rng);
+    std::vector<std::size_t> slot_of(t.universe());
+    const std::size_t slots = 1 + rng.next_below(40);
+    for (auto& s : slot_of) s = rng.next_below(slots);
+    const double safety = 0.5 + 0.5 * rng.next_double();
+    const SlotFractionEstimator est(t, slot_of, safety);
+
+    // Per slot, the smallest receiver miss rate, one has() per index.
+    std::vector<std::size_t> slot_size(slots, 0);
+    for (std::size_t s : slot_of) ++slot_size[s];
+    std::vector<double> delta(slots, 0.0);
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (slot_size[s] == 0) continue;
+      double min_rate = 1.0;
+      for (packet::NodeId j : t.receivers()) {
+        std::size_t missed = 0;
+        for (std::uint32_t i = 0; i < t.universe(); ++i)
+          if (slot_of[i] == s && !t.has(j, i)) ++missed;
+        min_rate = std::min(min_rate, static_cast<double>(missed) /
+                                          static_cast<double>(slot_size[s]));
+      }
+      delta[s] = safety * min_rate;
+    }
+    for (int q = 0; q < 5; ++q) {
+      const std::vector<std::uint32_t> indices =
+          random_indices(rng, t.universe());
+      double expected = 0.0;
+      for (std::uint32_t i : indices) expected += delta[slot_of[i]];
+      const auto want = static_cast<std::size_t>(std::floor(expected + 1e-9));
+      EXPECT_EQ(est.missed_within(indices, {}), want) << "trial " << trial;
+      nonzero += want != 0 ? 1u : 0u;
+    }
+  }
+  EXPECT_GT(nonzero, 100u);
 }
 
 TEST(BuildEstimator, DispatchesAllKinds) {

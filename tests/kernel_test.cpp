@@ -394,6 +394,32 @@ TEST(PayloadArena, SpansAreStableAlignedAndZeroed) {
   EXPECT_EQ(arena.bytes_allocated(), 100u * 24u);
 }
 
+// Every span the arena hands out starts on a 64-byte boundary — the
+// stride the GF kernels' rows are laid out on — whatever the block size,
+// the request size, the allocation call, and after reset() and rewind().
+TEST(PayloadArena, EveryAllocationIs64ByteAligned) {
+  const auto aligned = [](packet::ConstByteSpan s) {
+    return reinterpret_cast<std::uintptr_t>(s.data()) % 64 == 0;
+  };
+  const std::uint8_t src[77] = {1, 2, 3};
+  for (const std::size_t block : {64u, 100u, 1000u, 1u << 16}) {
+    packet::PayloadArena arena(block);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      const packet::PayloadArena::Mark mark = arena.mark();
+      for (std::size_t n = 1; n < 300; n += 7) {
+        EXPECT_TRUE(aligned(arena.alloc(n))) << block << " " << n;
+        EXPECT_TRUE(aligned(arena.alloc_uninit(n))) << block << " " << n;
+        EXPECT_TRUE(aligned(arena.copy(src))) << block;
+        for (const packet::ByteSpan row : arena.alloc_rows(3, n))
+          EXPECT_TRUE(aligned(row)) << block << " " << n;
+      }
+      arena.rewind(mark);
+      EXPECT_TRUE(aligned(arena.alloc(5))) << block;
+      arena.reset();
+    }
+  }
+}
+
 TEST(PayloadArena, ResetReusesBlocks) {
   packet::PayloadArena arena(1 << 12);
   for (std::size_t i = 0; i < 64; ++i) (void)arena.alloc(100);

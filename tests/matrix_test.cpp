@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "channel/rng.h"
 
@@ -216,6 +218,109 @@ TEST(Matrix, MoveAndAssignPreserveContents) {
   EXPECT_EQ(assigned, src);
   assigned = std::move(stolen);
   EXPECT_EQ(assigned, src);
+}
+
+// Rows sit 64-byte aligned at a stride that is a multiple of 64, heap- or
+// arena-backed, for every width; row() spans stay cols() long.
+TEST(Matrix, RowsSitOnA64ByteStride) {
+  packet::PayloadArena arena;
+  for (const std::size_t cols : {0u, 1u, 7u, 63u, 64u, 65u, 100u, 128u, 255u}) {
+    const Matrix heap = random_matrix(5, cols, cols + 1);
+    const Matrix onarena(5, cols, arena);
+    const Matrix copy = onarena;
+    // cols rounded up to a multiple of 64.
+    const std::size_t stride = (cols + 63) / 64 * 64;
+    for (const Matrix* m : {&heap, &onarena, &copy}) {
+      for (std::size_t r = 0; r < m->rows(); ++r) {
+        EXPECT_EQ(m->row(r).size(), cols);
+        if (cols == 0) continue;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m->row(r).data()) % 64, 0u)
+            << cols;
+        EXPECT_EQ(static_cast<std::size_t>(m->row(r).data() -
+                                           m->row(0).data()),
+                  r * stride)
+            << cols;
+      }
+    }
+  }
+}
+
+// Every entry of m equals f(i, j), and m is rows x cols.
+template <typename F>
+void expect_entries(const Matrix& m, std::size_t rows, std::size_t cols,
+                    F&& f) {
+  ASSERT_EQ(m.rows(), rows);
+  ASSERT_EQ(m.cols(), cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j)
+      ASSERT_EQ(m.at(i, j), f(i, j)) << "(" << i << ", " << j << ")";
+}
+
+// With padded rows, every derived matrix still holds the entries of its
+// definition, heap- and arena-backed operands agree, and == compares the
+// entries only (never the padding).
+TEST(Matrix, PaddedRowsKeepEveryOperationEntrywise) {
+  channel::Rng rng(5);
+  for (int trial = 0; trial < 40; ++trial) {
+    packet::PayloadArena arena;
+    const std::size_t r = 1 + rng.next_below(9);
+    const std::size_t c = 1 + rng.next_below(130);
+    const std::size_t r2 = 1 + rng.next_below(9);
+    const std::size_t c2 = 1 + rng.next_below(130);
+    const Matrix a = random_matrix(r, c, rng.next_u64());
+    Matrix on(r, c, arena);
+    for (std::size_t i = 0; i < r; ++i)
+      for (std::size_t j = 0; j < c; ++j) on.set(i, j, a.at(i, j));
+    const auto a_at = [&](std::size_t i, std::size_t j) { return a.at(i, j); };
+    expect_entries(on, r, c, a_at);
+    EXPECT_EQ(on, a);
+
+    const Matrix copy = on;
+    expect_entries(copy, r, c, a_at);
+    Matrix moved = Matrix(copy);
+    const Matrix stolen = std::move(moved);
+    expect_entries(stolen, r, c, a_at);
+    Matrix changed = a;
+    changed.set(r - 1, c - 1, a.at(r - 1, c - 1) + kOne);
+    EXPECT_FALSE(changed == a);
+
+    const Matrix below = random_matrix(r2, c, rng.next_u64());
+    expect_entries(on.vstack(below), r + r2, c, [&](std::size_t i,
+                                                     std::size_t j) {
+      return i < r ? a.at(i, j) : below.at(i - r, j);
+    });
+    const Matrix right = random_matrix(r, c2, rng.next_u64());
+    expect_entries(on.hstack(right), r, c + c2, [&](std::size_t i,
+                                                     std::size_t j) {
+      return j < c ? a.at(i, j) : right.at(i, j - c);
+    });
+    expect_entries(on.transpose(), c, r,
+                   [&](std::size_t i, std::size_t j) { return a.at(j, i); });
+
+    std::vector<std::size_t> rows_pick, cols_pick;
+    for (int k = 0; k < 5; ++k) {
+      rows_pick.push_back(rng.next_below(r));
+      cols_pick.push_back(rng.next_below(c));
+    }
+    expect_entries(on.select_rows(rows_pick), rows_pick.size(), c,
+                   [&](std::size_t i, std::size_t j) {
+                     return a.at(rows_pick[i], j);
+                   });
+    expect_entries(on.select_columns(cols_pick), r, cols_pick.size(),
+                   [&](std::size_t i, std::size_t j) {
+                     return a.at(i, cols_pick[j]);
+                   });
+
+    const Matrix b = random_matrix(c, c2, rng.next_u64());
+    const auto product = [&](std::size_t i, std::size_t j) {
+      GF256 sum = kZero;
+      for (std::size_t k = 0; k < c; ++k) sum += a.at(i, k) * b.at(k, j);
+      return sum;
+    };
+    expect_entries(a.mul(b), r, c2, product);
+    expect_entries(on.mul(b, arena), r, c2, product);
+    EXPECT_EQ(on.mul(b, arena), a.mul(b));
+  }
 }
 
 // Property sweep: for random square matrices, rank(A) == rank(A^T).

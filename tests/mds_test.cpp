@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 namespace thinair::gf::mds {
@@ -30,6 +31,36 @@ TEST(Mds, VandermondeEntriesArePowersOfThePoints) {
       ASSERT_EQ(g.at(i, j), p) << "i=" << i << " j=" << j;
       p = p * x;
     }
+  }
+}
+
+// The table-driven rows against the exponent-stepping definition
+// (entry j = alpha^(i*j mod 255), the exponent growing by i per column),
+// for every row index below 510 — so rows 255..509 must repeat rows
+// 0..254 — and every length up to 255. The table row is also the column.
+TEST(Mds, VandermondeRowMatchesExponentSteppingForEveryRowAndLength) {
+  std::array<std::uint8_t, kMaxColumns> want{};
+  std::array<std::uint8_t, kMaxColumns> got{};
+  for (std::size_t i = 0; i < 2 * kMaxColumns; ++i) {
+    unsigned e = 0;
+    for (std::uint8_t& entry : want) {
+      entry = GF256::alpha_pow(e).value();
+      e = (e + static_cast<unsigned>(i % 255)) % 255;
+    }
+    const auto entries = vandermonde_entries(i);
+    ASSERT_TRUE(std::equal(entries.begin(), entries.end(), want.begin()))
+        << "i=" << i;
+    for (std::size_t n = 0; n <= kMaxColumns; ++n) {
+      got.fill(0xA5);
+      vandermonde_row(i, std::span(got).first(n));
+      ASSERT_TRUE(std::equal(got.begin(), got.begin() + n, want.begin()))
+          << "i=" << i << " n=" << n;
+      ASSERT_TRUE(std::all_of(got.begin() + n, got.end(),
+                              [](std::uint8_t b) { return b == 0xA5; }))
+          << "i=" << i << " n=" << n;  // nothing past the span is written
+    }
+    for (std::size_t j = 0; j < kMaxColumns; ++j)
+      ASSERT_EQ(vandermonde_entries(j)[i % kMaxColumns], want[j]);
   }
 }
 

@@ -416,6 +416,72 @@ TEST(ProtocolCore, ReceiverStepMatchesAliceForEveryEstimatorAndStrategy) {
   EXPECT_GT(with_secret, 20u);  // the comparison is not vacuous
 }
 
+// The receiver step's direct decode against its reference, the two-step
+// path recover_all_y + make_s_payloads, under every kernel. The round is
+// public data over N = M x-packets with y_j = x_j, so a missing x-packet
+// is a missing y-packet. Random code shapes (M in [1, 255], L in [1, M]),
+// payload lengths that end in every SIMD kernel's scalar tail, and d = 0,
+// d = M - L and a random d unknowns. Half the rounds carry random
+// z-contents instead of Alice's: the two paths are the same linear map,
+// so they agree on any z, not only on a consistent one. One unknown more
+// than there are z-packets is refused.
+TEST(ProtocolCore, ReceiverRoundMatchesRecoverAllYOnEveryKernel) {
+  const KernelGuard guard;
+  channel::Rng rng(2025);
+  for (const gf::Kernel* k : gf::all_kernels()) {
+    ASSERT_TRUE(gf::set_active_kernel(k->name));
+    for (const std::size_t payload : {1u, 7u, 100u, 1000u}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        packet::PayloadArena arena;
+        const std::size_t m = 1 + rng.next_below(255);
+        const std::size_t l = 1 + rng.next_below(m);
+        const Phase2Plan plan = plan_phase2(m, l);
+        const Spans y = random_payloads(m, payload, rng.next_u64(), arena);
+        const bool consistent = trial % 2 == 0;
+        const Spans z =
+            consistent ? make_z_payloads(plan, y, payload, arena)
+                       : random_payloads(m - l, payload, rng.next_u64(), arena);
+        packet::Announcement y_ann;
+        for (std::uint32_t j = 0; j < m; ++j) {
+          packet::Combination unit;
+          unit.add(j, gf::kOne);
+          y_ann.combinations.push_back(std::move(unit));
+        }
+
+        const std::size_t d = trial / 2 == 0   ? 0
+                              : trial / 2 == 1 ? m - l
+                                               : rng.next_below(m - l + 1);
+        std::vector<std::size_t> order(m);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        for (std::size_t i = m - 1; i > 0; --i)
+          std::swap(order[i], order[rng.next_below(i + 1)]);
+        Spans own = y;
+        for (std::size_t i = 0; i < d; ++i) own[order[i]] = {};
+
+        const ReceiverOutput rx = receiver_round(y_ann, plan.s_announcement,
+                                                 own, z, payload, arena);
+        ASSERT_EQ(rx.error, RoundError::kNone) << to_string(rx.error);
+        const Spans want = make_s_payloads(
+            plan, recover_all_y(plan, own, z, payload, arena), payload, arena);
+        EXPECT_TRUE(same_bytes(rx.payloads, want))
+            << k->name << " M=" << m << " L=" << l << " d=" << d
+            << " payload=" << payload << " consistent=" << consistent;
+        if (consistent) {
+          EXPECT_TRUE(
+              same_bytes(rx.payloads, make_s_payloads(plan, y, payload, arena)));
+        }
+
+        Spans too_few = y;
+        for (std::size_t i = 0; i <= m - l; ++i) too_few[order[i]] = {};
+        EXPECT_EQ(receiver_round(y_ann, plan.s_announcement, too_few, z,
+                                 payload, arena)
+                      .error,
+                  RoundError::kTooFewY);
+      }
+    }
+  }
+}
+
 // A round with a secret, laid out as public data, to corrupt one piece at
 // a time.
 struct PublicRound {

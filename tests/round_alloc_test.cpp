@@ -6,7 +6,8 @@
 // count must not depend on N: whatever a round allocates is per round or
 // per receiver, never per x-packet. The same holds one layer up: the
 // phase-2 repair's count does not depend on how many y-packets it
-// repairs, nor Eve's view's on how many x-packets she observed.
+// repairs, nor the receiver step's on how many y-packets it decodes
+// around, nor Eve's view's on how many x-packets she observed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "channel/rng.h"
 #include "channel/testbed_channel.h"
 #include "core/phase2.h"
+#include "core/protocol.h"
 #include "core/round.h"
 #include "net/medium.h"
 #include "net/reliable.h"
@@ -174,6 +176,50 @@ TEST(RoundAlloc, RecoverAllYAllocationsDoNotGrowWithUnknowns) {
 
   (void)repair_allocs(64);  // warm the arena to the larger repair
   EXPECT_EQ(repair_allocs(8), repair_allocs(64));
+#else
+  GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
+#endif
+}
+
+TEST(RoundAlloc, ReceiverRoundAllocationsDoNotGrowWithUnknowns) {
+#if THINAIR_ALLOC_COUNTING
+  const std::size_t m = 100, l = 20, payload = packet::kPaperPayloadBytes;
+  const core::Phase2Plan plan = core::plan_phase2(m, l);
+  packet::PayloadArena arena;
+  channel::Rng rng(14);
+  // N = M x-packets announced as y_j = x_j: a missing x is a missing y.
+  packet::Announcement y_ann;
+  std::vector<packet::ConstByteSpan> x(m);
+  for (std::uint32_t j = 0; j < m; ++j) {
+    packet::Combination unit;
+    unit.add(j, gf::kOne);
+    y_ann.combinations.push_back(std::move(unit));
+    const packet::ByteSpan body = arena.alloc_uninit(payload);
+    rng.fill(body);
+    x[j] = body;
+  }
+  const std::vector<packet::ConstByteSpan> z =
+      core::make_z_payloads(plan, x, payload, arena);
+  const std::vector<packet::ConstByteSpan> s =
+      core::make_s_payloads(plan, x, payload, arena);
+
+  const auto receiver_allocs = [&](std::size_t d) {
+    std::vector<packet::ConstByteSpan> own = x;
+    for (std::size_t j = 0; j < d; ++j) own[(j * 37) % m] = {};
+    const packet::PayloadArena::Mark mark = arena.mark();
+    const std::int64_t calls = allocs_during([&] {
+      const core::ReceiverOutput rx = core::receiver_round(
+          y_ann, plan.s_announcement, own, z, payload, arena);
+      EXPECT_EQ(rx.error, core::RoundError::kNone);
+      EXPECT_TRUE(std::equal(rx.payloads[0].begin(), rx.payloads[0].end(),
+                             s[0].begin(), s[0].end()));
+    });
+    arena.rewind(mark);
+    return calls;
+  };
+
+  (void)receiver_allocs(64);  // warm the arena to the larger decode
+  EXPECT_EQ(receiver_allocs(8), receiver_allocs(64));
 #else
   GTEST_SKIP() << "allocation counting is disabled under the sanitizers";
 #endif
